@@ -174,6 +174,11 @@ type System struct {
 	net     *overlay.Network
 	ovCfg   overlay.Config // overlay parameters, kept for AsyncRuntime
 	classes []float64      // bandwidth classes, ascending
+
+	// parallelism is the requested worker bound, 0 for one worker per
+	// CPU. Snapshots persist it rather than workers, so their bytes do
+	// not depend on the saving host's core count.
+	parallelism int
 }
 
 // QueryResult is the outcome of a decentralized query.
@@ -258,7 +263,7 @@ func New(bandwidth [][]float64, opts ...Option) (*System, error) {
 	}
 	mBuildSeconds.Set(time.Since(buildStart).Seconds())
 	return &System{
-		c: o.c, nCut: o.nCut, workers: workers, bw: bw, forest: forest,
+		c: o.c, nCut: o.nCut, workers: workers, parallelism: o.parallelism, bw: bw, forest: forest,
 		pred: pred, treeIdx: treeIdx, net: net, ovCfg: ovCfg, classes: o.classes,
 	}, nil
 }

@@ -100,7 +100,9 @@ func run(args []string) error {
 		return err
 	}
 	if !*jsonOut {
-		fmt.Printf("\n# completed in %v\n", time.Since(start).Round(time.Millisecond))
+		// Wall-clock time goes to stderr so stdout is a pure function of
+		// the flags and seed, byte-comparable against results/.
+		fmt.Fprintf(os.Stderr, "# completed in %v\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *metricsOut != "" {
 		if err := dumpMetrics(*metricsOut); err != nil {

@@ -43,12 +43,10 @@ func (nw *Network) QueryNode(start int, set []int, l float64) (NodeResult, error
 	if len(set) == 0 {
 		return NodeResult{}, fmt.Errorf("overlay: empty input set")
 	}
-	inSet := make(map[int]bool, len(set))
 	for _, m := range set {
 		if _, ok := nw.peers[m]; !ok {
 			return NodeResult{}, fmt.Errorf("overlay: set member %d is not an overlay host", m)
 		}
-		inSet[m] = true
 	}
 	if l < 0 {
 		return NodeResult{}, fmt.Errorf("overlay: constraint l must be >= 0, got %v", l)
@@ -57,32 +55,14 @@ func (nw *Network) QueryNode(start int, set []int, l float64) (NodeResult, error
 	res := NodeResult{Node: -1, Radius: math.Inf(1)}
 	cur, prev := start, -1
 	for hop := 0; hop <= len(nw.hosts); hop++ {
-		p := nw.peers[cur]
-		// Evaluate the local clustering space, remembering which neighbor
-		// direction contributed the incumbent.
-		bestDir := -1
-		consider := func(u, dir int) {
-			if inSet[u] {
-				return
-			}
-			r := nw.setRadius(u, set)
-			if r < res.Radius {
-				res.Node, res.Radius = u, r
-				bestDir = dir
-			}
-		}
-		consider(cur, -1)
-		for _, v := range p.neighbors {
-			for _, u := range p.aggrNode[v] {
-				consider(u, v)
-			}
-		}
-		if bestDir == -1 || bestDir == prev {
+		var next int
+		res.Node, res.Radius, next = nw.peers[cur].ClimbHop(nw.dist, set, prev, res.Node, res.Radius)
+		if next == -1 {
 			// No improvement from an unexplored direction: the search has
 			// converged on this side of the tree.
 			break
 		}
-		prev, cur = cur, bestDir
+		prev, cur = cur, next
 		res.Hops++
 	}
 	res.Answered = cur
@@ -92,31 +72,20 @@ func (nw *Network) QueryNode(start int, set []int, l float64) (NodeResult, error
 	return res, nil
 }
 
-// setRadius is the predicted-distance analogue of cluster.SetRadius.
-func (nw *Network) setRadius(x int, set []int) float64 {
-	worst := 0.0
-	for _, m := range set {
-		if d := nw.predDist(x, m); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // FindNodeCentral runs the centralized single-node search over the full
 // predicted metric (the reference the decentralized search approximates).
 func (nw *Network) FindNodeCentral(set []int, l float64) (int, float64, error) {
 	idxSet := make([]int, len(set))
 	for i, m := range set {
-		pos, ok := nw.index[m]
+		pos, ok := nw.dist.index[m]
 		if !ok {
 			return -1, 0, fmt.Errorf("overlay: set member %d is not an overlay host", m)
 		}
 		idxSet[i] = pos
 	}
-	node, radius, err := cluster.FindNodeForSet(nw.dist, idxSet, l)
+	node, radius, err := cluster.FindNodeForSet(nw.dist.m, idxSet, l)
 	if err != nil || node < 0 {
 		return -1, 0, err
 	}
-	return nw.hosts[node], radius, nil
+	return nw.dist.hosts[node], radius, nil
 }

@@ -82,7 +82,7 @@ func TestQueryNodeAnswersAreValid(t *testing.T) {
 			if res.Node == m {
 				t.Fatalf("returned node %d is a set member", res.Node)
 			}
-			if d := nw.predDist(res.Node, m); d > l*(1+1e-9) {
+			if d := nw.dist.Between(res.Node, m); d > l*(1+1e-9) {
 				t.Fatalf("node %d at %v from member %d (> l=%v)", res.Node, d, m, l)
 			}
 		}
@@ -100,5 +100,18 @@ func TestFindNodeCentralValidation(t *testing.T) {
 	}
 	if node < 0 {
 		t.Error("loose constraint should find a node")
+	}
+	// A removal shrinks the roster but not the distance snapshot; the
+	// answer must still name the host whose radius was found.
+	set := []int{nw.Hosts()[1]}
+	if err := nw.RemoveHost(nw.Hosts()[0]); err != nil {
+		t.Fatal(err)
+	}
+	node, radius, err := nw.FindNodeCentral(set, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nw.dist.setRadius(node, set); got != radius {
+		t.Errorf("after removal: node %d has radius %v, reported %v", node, got, radius)
 	}
 }

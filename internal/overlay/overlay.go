@@ -13,17 +13,20 @@
 // clustering space first, otherwise forward toward a neighbor whose CRT
 // promises a big-enough cluster.
 //
-// The engine here is synchronous and deterministic: rounds exchange all
-// messages simultaneously, which converges to the unique fixed point the
-// correctness theorems (3.2, 3.3) describe. Package runtime runs the same
-// peer logic asynchronously over channels.
+// Each rule is written once, as a method of the per-peer state type Peer
+// over a predicted-distance snapshot Dist. Network drives those rules
+// synchronously and deterministically: rounds exchange all messages
+// simultaneously, which converges to the unique fixed point the
+// correctness theorems (3.2, 3.3) describe. Package runtime drives the
+// same Peer rules asynchronously, one goroutine per peer, so the two
+// engines cannot drift apart.
 package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"bwcluster/internal/cluster"
 	"bwcluster/internal/metric"
 )
 
@@ -41,7 +44,8 @@ type Config struct {
 	Classes []float64
 }
 
-func (c Config) validate() error {
+// Validate reports whether c is a usable protocol configuration.
+func (c Config) Validate() error {
 	if c.NCut < 1 {
 		return fmt.Errorf("overlay: NCut must be >= 1, got %d", c.NCut)
 	}
@@ -92,15 +96,6 @@ type Substrate interface {
 	DistMatrix() (*metric.Matrix, []int)
 }
 
-// peer is the protocol state of one host.
-type peer struct {
-	id        int
-	neighbors []int         // anchor-tree adjacency, sorted
-	aggrNode  map[int][]int // neighbor -> propagated close nodes
-	aggrCRT   map[int][]int // neighbor -> per-class max cluster size
-	selfCRT   []int         // per-class max cluster size of own space
-}
-
 // Stats counts the background traffic the protocol has generated,
 // quantifying the paper's scalability requirement: every peer talks only
 // to its anchor-tree neighbors, and each message carries at most n_cut
@@ -127,10 +122,9 @@ func (s Stats) Messages() int { return s.NodeInfoMessages + s.CRTMessages }
 type Network struct {
 	cfg    Config
 	sub    Substrate
-	hosts  []int
-	index  map[int]int // host id -> row in dist
-	dist   *metric.Matrix
-	peers  map[int]*peer
+	hosts  []int // live roster, join order
+	dist   *Dist
+	peers  map[int]*Peer
 	rounds int // background rounds executed so far
 	stats  Stats
 }
@@ -138,7 +132,7 @@ type Network struct {
 // NewNetwork builds the overlay for every host currently in the
 // substrate (a prediction tree or forest).
 func NewNetwork(sub Substrate, cfg Config) (*Network, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if sub == nil || sub.Len() == 0 {
@@ -152,24 +146,13 @@ func NewNetwork(sub Substrate, cfg Config) (*Network, error) {
 // reload re-reads hosts, adjacency and predicted distances from the tree,
 // preserving any aggregation state for hosts that persist.
 func (nw *Network) reload() {
-	dist, hosts := nw.sub.DistMatrix()
-	nw.dist = dist
-	nw.hosts = hosts
-	nw.index = make(map[int]int, len(hosts))
-	for i, h := range hosts {
-		nw.index[h] = i
-	}
+	nw.dist = NewDist(nw.sub)
+	nw.hosts = slices.Clone(nw.dist.hosts)
 	old := nw.peers
-	nw.peers = make(map[int]*peer, len(hosts))
-	for _, h := range hosts {
+	nw.peers = make(map[int]*Peer, len(nw.hosts))
+	for _, h := range nw.hosts {
 		nb := nw.sub.AnchorNeighbors(h)
-		sort.Ints(nb)
-		p := &peer{
-			id:        h,
-			neighbors: nb,
-			aggrNode:  make(map[int][]int, len(nb)),
-			aggrCRT:   make(map[int][]int, len(nb)),
-		}
+		p := NewPeer(h, nb)
 		if prev, ok := old[h]; ok {
 			for _, m := range nb {
 				if v, ok := prev.aggrNode[m]; ok {
@@ -206,7 +189,7 @@ func (nw *Network) Resync() {
 		for v, nodes := range p.aggrNode {
 			kept := nodes[:0]
 			for _, u := range nodes {
-				if _, ok := nw.index[u]; ok {
+				if nw.dist.Has(u) {
 					kept = append(kept, u)
 				}
 			}
@@ -235,14 +218,10 @@ func (nw *Network) Classes() []float64 {
 	return out
 }
 
-// predDist returns the predicted distance between hosts a and b.
-func (nw *Network) predDist(a, b int) float64 {
-	return nw.dist.Dist(nw.index[a], nw.index[b])
-}
-
 // RunNodeInfoRound executes one synchronous round of Algorithm 2 at every
-// peer: each neighbor pair exchanges propNode messages computed from the
-// previous round's state. It reports whether any aggrNode entry changed.
+// peer: each neighbor pair exchanges Peer.PropNode messages computed from
+// the previous round's state. It reports whether any aggrNode entry
+// changed.
 func (nw *Network) RunNodeInfoRound() bool {
 	nw.rounds++
 	mConvergeRounds.Inc()
@@ -254,7 +233,7 @@ func (nw *Network) RunNodeInfoRound() bool {
 	for _, h := range nw.hosts {
 		m := nw.peers[h]
 		for _, x := range m.neighbors {
-			nodes := nw.propNode(m, x)
+			nodes := m.PropNode(x, nw.dist, nw.cfg.NCut)
 			nw.stats.NodeInfoMessages++
 			nw.stats.NodeInfoRecords += len(nodes)
 			mGossip.Inc()
@@ -263,46 +242,11 @@ func (nw *Network) RunNodeInfoRound() bool {
 	}
 	changed := false
 	for _, mg := range msgs {
-		p := nw.peers[mg.to]
-		if !equalInts(p.aggrNode[mg.from], mg.nodes) {
-			p.aggrNode[mg.from] = mg.nodes
+		if nw.peers[mg.to].SetAggrNode(mg.from, mg.nodes) {
 			changed = true
 		}
 	}
 	return changed
-}
-
-// propNode computes the message m sends to neighbor x per Algorithm 2:
-// the n_cut nodes of {m} ∪ ⋃_{v≠x} m.aggrNode[v] closest to x in
-// predicted distance. Ties break on host id, which makes the fixed point
-// unique.
-func (nw *Network) propNode(m *peer, x int) []int {
-	cand := map[int]bool{m.id: true}
-	for _, v := range m.neighbors {
-		if v == x {
-			continue
-		}
-		for _, u := range m.aggrNode[v] {
-			cand[u] = true
-		}
-	}
-	delete(cand, x)
-	ids := make([]int, 0, len(cand))
-	for u := range cand {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := nw.predDist(x, ids[i]), nw.predDist(x, ids[j])
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > nw.cfg.NCut {
-		ids = ids[:nw.cfg.NCut]
-	}
-	sort.Ints(ids) // canonical storage order
-	return ids
 }
 
 // ClusteringSpace returns V_x = {x} ∪ ⋃_v x.aggrNode[v], sorted: the node
@@ -312,27 +256,7 @@ func (nw *Network) ClusteringSpace(x int) ([]int, error) {
 	if !ok {
 		return nil, fmt.Errorf("overlay: unknown host %d", x)
 	}
-	set := map[int]bool{x: true}
-	for _, v := range p.neighbors {
-		for _, u := range p.aggrNode[v] {
-			set[u] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// spaceFor materializes the predicted-distance submatrix over the given
-// hosts; the returned slice maps submatrix index back to host id.
-func (nw *Network) spaceFor(hosts []int) (*metric.Matrix, []int) {
-	sub := metric.FromFunc(len(hosts), func(i, j int) float64 {
-		return nw.predDist(hosts[i], hosts[j])
-	})
-	return sub, hosts
+	return p.clusteringSpace(), nil
 }
 
 // RecomputeSelfCRT evaluates every peer's local clustering space against
@@ -340,30 +264,11 @@ func (nw *Network) spaceFor(hosts []int) (*metric.Matrix, []int) {
 // aggregation has converged; Converge does this automatically.
 func (nw *Network) RecomputeSelfCRT() error {
 	for _, h := range nw.hosts {
-		p := nw.peers[h]
-		space, _, err := nw.localSpace(h)
-		if err != nil {
-			return err
-		}
-		ix, err := cluster.NewIndex(space)
-		if err != nil {
+		if _, err := nw.peers[h].RecomputeSelfCRT(nw.dist, nw.cfg.Classes); err != nil {
 			return fmt.Errorf("overlay: index for host %d: %w", h, err)
-		}
-		p.selfCRT = make([]int, len(nw.cfg.Classes))
-		for ci, l := range nw.cfg.Classes {
-			p.selfCRT[ci] = ix.MaxSize(l)
 		}
 	}
 	return nil
-}
-
-func (nw *Network) localSpace(x int) (*metric.Matrix, []int, error) {
-	hosts, err := nw.ClusteringSpace(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	sub, ids := nw.spaceFor(hosts)
-	return sub, ids, nil
 }
 
 // RunCRTRound executes one synchronous propagation round of Algorithm 3
@@ -380,18 +285,7 @@ func (nw *Network) RunCRTRound() bool {
 	for _, h := range nw.hosts {
 		m := nw.peers[h]
 		for _, x := range m.neighbors {
-			crt := make([]int, len(nw.cfg.Classes))
-			copy(crt, m.selfCRT)
-			for _, v := range m.neighbors {
-				if v == x {
-					continue
-				}
-				for ci, size := range m.aggrCRT[v] {
-					if size > crt[ci] {
-						crt[ci] = size
-					}
-				}
-			}
+			crt := m.PropCRT(x, len(nw.cfg.Classes))
 			nw.stats.CRTMessages++
 			nw.stats.CRTRecords += len(crt)
 			mGossip.Inc()
@@ -400,9 +294,7 @@ func (nw *Network) RunCRTRound() bool {
 	}
 	changed := false
 	for _, mg := range msgs {
-		p := nw.peers[mg.to]
-		if !equalInts(p.aggrCRT[mg.from], mg.crt) {
-			p.aggrCRT[mg.from] = mg.crt
+		if nw.peers[mg.to].SetAggrCRT(mg.from, mg.crt) {
 			changed = true
 		}
 	}
@@ -436,56 +328,24 @@ func (nw *Network) Converge(maxRounds int) (int, error) {
 
 // AggrNode exposes x.aggrNode[m] (sorted copy) for tests and diagnostics.
 func (nw *Network) AggrNode(x, m int) []int {
-	p, ok := nw.peers[x]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(p.aggrNode[m]))
-	copy(out, p.aggrNode[m])
-	return out
+	return nw.view(x, func(p *Peer) []int { return p.AggrNode(m) })
 }
 
 // CRT exposes x.aggrCRT[m] (per-class copy).
 func (nw *Network) CRT(x, m int) []int {
-	p, ok := nw.peers[x]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(p.aggrCRT[m]))
-	copy(out, p.aggrCRT[m])
-	return out
+	return nw.view(x, func(p *Peer) []int { return p.CRT(m) })
 }
 
 // SelfCRT exposes x's own per-class maximum cluster sizes.
-func (nw *Network) SelfCRT(x int) []int {
-	p, ok := nw.peers[x]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(p.selfCRT))
-	copy(out, p.selfCRT)
-	return out
-}
+func (nw *Network) SelfCRT(x int) []int { return nw.view(x, (*Peer).SelfCRT) }
 
 // Neighbors returns x's overlay neighbors.
-func (nw *Network) Neighbors(x int) []int {
-	p, ok := nw.peers[x]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(p.neighbors))
-	copy(out, p.neighbors)
-	return out
-}
+func (nw *Network) Neighbors(x int) []int { return nw.view(x, (*Peer).Neighbors) }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// view reads peer x's state through f, nil for unknown hosts.
+func (nw *Network) view(x int, f func(*Peer) []int) []int {
+	if p, ok := nw.peers[x]; ok {
+		return f(p)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }

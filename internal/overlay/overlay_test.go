@@ -92,7 +92,7 @@ func TestClassForSnapping(t *testing.T) {
 		{l: 1.5, wantErr: true},
 	}
 	for _, tt := range tests {
-		got, _, err := nw.ClassFor(tt.l)
+		got, _, err := nw.cfg.ClassFor(tt.l)
 		if tt.wantErr {
 			if !errors.Is(err, ErrNoClass) {
 				t.Errorf("ClassFor(%v) err = %v, want ErrNoClass", tt.l, err)
@@ -141,7 +141,7 @@ func TestTheorem32NodeInfo(t *testing.T) {
 				reach := reachableVia(tree, x, m)
 				wantDists := make([]float64, 0, len(reach))
 				for _, u := range reach {
-					wantDists = append(wantDists, nw.predDist(x, u))
+					wantDists = append(wantDists, nw.dist.Between(x, u))
 				}
 				sort.Float64s(wantDists)
 				if len(wantDists) > cfg.NCut {
@@ -150,7 +150,7 @@ func TestTheorem32NodeInfo(t *testing.T) {
 				got := nw.AggrNode(x, m)
 				gotDists := make([]float64, 0, len(got))
 				for _, u := range got {
-					gotDists = append(gotDists, nw.predDist(x, u))
+					gotDists = append(gotDists, nw.dist.Between(x, u))
 				}
 				sort.Float64s(gotDists)
 				if len(gotDists) != len(wantDists) {
@@ -191,11 +191,11 @@ func TestTheorem33CRT(t *testing.T) {
 			for ci, l := range cfg.Classes {
 				want := 0
 				for _, w := range reachableVia(tree, x, m) {
-					space, _, err := nw.localSpace(w)
+					hosts, err := nw.ClusteringSpace(w)
 					if err != nil {
 						t.Fatal(err)
 					}
-					size, _ := cluster.MaxClusterSize(space, l)
+					size, _ := cluster.MaxClusterSize(nw.dist.submatrix(hosts), l)
 					if size > want {
 						want = size
 					}
@@ -241,7 +241,7 @@ func TestQueryResultsSatisfyConstraint(t *testing.T) {
 			}
 			for i := 0; i < len(res.Cluster); i++ {
 				for j := i + 1; j < len(res.Cluster); j++ {
-					d := nw.predDist(res.Cluster[i], res.Cluster[j])
+					d := nw.dist.Between(res.Cluster[i], res.Cluster[j])
 					if d > res.Class*(1+1e-9) {
 						t.Fatalf("start=%d l=%v: pair (%d,%d) at %v > class %v",
 							start, l, res.Cluster[i], res.Cluster[j], d, res.Class)
@@ -282,7 +282,7 @@ func predictedSpace(t *testing.T, nw *Network) (*metric.Matrix, []int) {
 	t.Helper()
 	hosts := nw.Hosts()
 	m := metric.FromFunc(len(hosts), func(i, j int) float64 {
-		return nw.predDist(hosts[i], hosts[j])
+		return nw.dist.Between(hosts[i], hosts[j])
 	})
 	return m, hosts
 }

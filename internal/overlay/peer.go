@@ -1,0 +1,349 @@
+package overlay
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+
+	"bwcluster/internal/cluster"
+	"bwcluster/internal/metric"
+)
+
+// Dist is an immutable snapshot of the predicted distances between the
+// substrate's hosts. The protocol rules read distances only through it:
+// Network holds one, and the async runtime swaps in a fresh snapshot
+// atomically when membership changes.
+type Dist struct {
+	m     *metric.Matrix
+	hosts []int       // row -> host id
+	index map[int]int // host id -> row
+}
+
+// NewDist snapshots sub's predicted distances.
+func NewDist(sub Substrate) *Dist {
+	m, hosts := sub.DistMatrix()
+	index := make(map[int]int, len(hosts))
+	for i, h := range hosts {
+		index[h] = i
+	}
+	return &Dist{m: m, hosts: hosts, index: index}
+}
+
+// Between returns the predicted distance between hosts a and b.
+func (d *Dist) Between(a, b int) float64 {
+	return d.m.Dist(d.index[a], d.index[b])
+}
+
+// Has reports whether host h is in the snapshot.
+func (d *Dist) Has(h int) bool {
+	_, ok := d.index[h]
+	return ok
+}
+
+// setRadius returns x's maximum predicted distance to the members of set
+// (the predicted-distance analogue of cluster.SetRadius).
+func (d *Dist) setRadius(x int, set []int) float64 {
+	worst := 0.0
+	for _, m := range set {
+		if dd := d.Between(x, m); dd > worst {
+			worst = dd
+		}
+	}
+	return worst
+}
+
+// submatrix materializes the predicted distances over hosts; row i of
+// the result is hosts[i].
+func (d *Dist) submatrix(hosts []int) *metric.Matrix {
+	rows := make([]int, len(hosts))
+	for i, h := range hosts {
+		rows[i] = d.index[h]
+	}
+	return metric.FromFunc(len(hosts), func(i, j int) float64 {
+		return d.m.Dist(rows[i], rows[j])
+	})
+}
+
+// Peer is one host's protocol state together with the per-peer rules of
+// Algorithms 2–4 over it. It holds no locks, clocks or transport: the
+// synchronous Network delivers its messages in rounds, and the async
+// runtime drives the same rules from one goroutine per peer under its
+// own locking. Rules that update state report whether it changed.
+type Peer struct {
+	id        int
+	neighbors []int         // anchor-tree adjacency, sorted
+	aggrNode  map[int][]int // neighbor -> propagated close nodes
+	aggrCRT   map[int][]int // neighbor -> per-class max cluster size
+	selfCRT   []int         // per-class max cluster size of own space
+}
+
+// NewPeer returns host id's empty protocol state over the given
+// anchor-tree neighbors, which it sorts in place and keeps.
+func NewPeer(id int, neighbors []int) *Peer {
+	sort.Ints(neighbors)
+	return &Peer{
+		id:        id,
+		neighbors: neighbors,
+		aggrNode:  make(map[int][]int, len(neighbors)),
+		aggrCRT:   make(map[int][]int, len(neighbors)),
+	}
+}
+
+// Neighbors returns a copy of p's overlay neighbors, sorted.
+func (p *Peer) Neighbors() []int { return copyInts(p.neighbors) }
+
+// AggrNode returns a copy of p.aggrNode[m].
+func (p *Peer) AggrNode(m int) []int { return copyInts(p.aggrNode[m]) }
+
+// CRT returns a copy of p.aggrCRT[m].
+func (p *Peer) CRT(m int) []int { return copyInts(p.aggrCRT[m]) }
+
+// SelfCRT returns a copy of p's own per-class maximum cluster sizes.
+func (p *Peer) SelfCRT() []int { return copyInts(p.selfCRT) }
+
+// copyInts copies xs into a non-nil slice, the accessors' contract.
+func copyInts(xs []int) []int {
+	out := make([]int, len(xs))
+	copy(out, xs)
+	return out
+}
+
+// PropNode computes the Algorithm 2 message p sends to neighbor x: the
+// n_cut nodes of {p} ∪ ⋃_{v≠x} p.aggrNode[v] closest to x in predicted
+// distance. Ties break on host id, which makes the fixed point unique.
+func (p *Peer) PropNode(x int, d *Dist, nCut int) []int {
+	cand := map[int]bool{p.id: true}
+	for _, v := range p.neighbors {
+		if v == x {
+			continue
+		}
+		for _, u := range p.aggrNode[v] {
+			cand[u] = true
+		}
+	}
+	delete(cand, x)
+	ids := make([]int, 0, len(cand))
+	for u := range cand {
+		ids = append(ids, u)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		di, dj := d.Between(x, ids[i]), d.Between(x, ids[j])
+		if di != dj {
+			return di < dj
+		}
+		return ids[i] < ids[j]
+	})
+	if len(ids) > nCut {
+		ids = ids[:nCut]
+	}
+	sort.Ints(ids) // canonical storage order
+	return ids
+}
+
+// PropCRT computes the Algorithm 3 message p sends to neighbor x: p's
+// self CRT max-merged, class by class, with the CRT entry of every other
+// neighbor (split horizon).
+func (p *Peer) PropCRT(x, nClasses int) []int {
+	crt := make([]int, nClasses)
+	copy(crt, p.selfCRT)
+	for _, v := range p.neighbors {
+		if v == x {
+			continue
+		}
+		for ci, size := range p.aggrCRT[v] {
+			if size > crt[ci] {
+				crt[ci] = size
+			}
+		}
+	}
+	return crt
+}
+
+// SetAggrNode stores the Algorithm 2 message from neighbor from and
+// reports whether it changed p's state.
+func (p *Peer) SetAggrNode(from int, nodes []int) bool {
+	if slices.Equal(p.aggrNode[from], nodes) {
+		return false
+	}
+	p.aggrNode[from] = nodes
+	return true
+}
+
+// SetAggrCRT stores the Algorithm 3 message from neighbor from and
+// reports whether it changed p's state.
+func (p *Peer) SetAggrCRT(from int, crt []int) bool {
+	if slices.Equal(p.aggrCRT[from], crt) {
+		return false
+	}
+	p.aggrCRT[from] = crt
+	return true
+}
+
+// clusteringSpace returns V_p = {p} ∪ ⋃_v p.aggrNode[v], sorted: the node
+// set p can form clusters from.
+func (p *Peer) clusteringSpace() []int {
+	set := map[int]bool{p.id: true}
+	for _, v := range p.neighbors {
+		for _, u := range p.aggrNode[v] {
+			set[u] = true
+		}
+	}
+	out := make([]int, 0, len(set))
+	for u := range set {
+		out = append(out, u)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// RecomputeSelfCRT evaluates p's clustering space against every class
+// (the first half of Algorithm 3) and reports whether p's self CRT
+// changed.
+func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
+	ix, err := cluster.NewIndex(d.submatrix(p.clusteringSpace()))
+	if err != nil {
+		return false, err
+	}
+	selfCRT := make([]int, len(classes))
+	for ci, l := range classes {
+		selfCRT[ci] = ix.MaxSize(l)
+	}
+	changed := !slices.Equal(p.selfCRT, selfCRT)
+	p.selfCRT = selfCRT
+	return changed, nil
+}
+
+// Hop is the outcome of one Algorithm 4 step at a peer.
+type Hop struct {
+	// Members is the local answer, nil when no local search ran or it
+	// found no cluster.
+	Members []int
+	// Next is the neighbor to forward the query to, -1 when it stops
+	// here (answered, or no neighbor other than the sender admits k).
+	Next int
+	// SelfMax is p's own CRT entry for the class; Promise is Next's.
+	SelfMax, Promise int
+	// Space is the size of the clustering space the local search ran
+	// over, 0 when the self CRT ruled the search out.
+	Space int
+}
+
+// QueryHop runs one Algorithm 4 step for a query of size k snapped to
+// class classIdx (diameter classL) that arrived from prev (-1 at the
+// start peer): run Algorithm 1 over the local clustering space when the
+// self CRT admits k, and when that finds no cluster pick the first
+// neighbor other than prev whose CRT entry admits k. A local-search error
+// ends the step.
+func (p *Peer) QueryHop(d *Dist, k, classIdx int, classL float64, prev int) (Hop, error) {
+	hop := Hop{Next: -1}
+	if len(p.selfCRT) > classIdx {
+		hop.SelfMax = p.selfCRT[classIdx]
+	}
+	if k <= hop.SelfMax {
+		ids := p.clusteringSpace()
+		hop.Space = len(ids)
+		sel, err := cluster.FindCluster(d.submatrix(ids), k, classL)
+		if err != nil {
+			return hop, fmt.Errorf("overlay: local clustering at %d: %w", p.id, err)
+		}
+		if sel != nil {
+			hop.Members = make([]int, len(sel))
+			for i, s := range sel {
+				hop.Members[i] = ids[s]
+			}
+			return hop, nil
+		}
+	}
+	for _, v := range p.neighbors {
+		if v == prev {
+			continue
+		}
+		if crt := p.aggrCRT[v]; len(crt) > classIdx && k <= crt[classIdx] {
+			hop.Next, hop.Promise = v, crt[classIdx]
+			break
+		}
+	}
+	return hop, nil
+}
+
+// ClimbHop runs one step of the single-node hill-climb for a search that
+// arrived from prev (-1 at the start peer): it folds p's clustering space,
+// minus the members of set, into the incumbent (best, radius) and returns
+// the new incumbent with the neighbor to forward to — the direction whose
+// node info produced the new incumbent, or -1 when no unexplored direction
+// improved it and the search stops here.
+func (p *Peer) ClimbHop(d *Dist, set []int, prev, best int, radius float64) (int, float64, int) {
+	inSet := make(map[int]bool, len(set))
+	for _, m := range set {
+		inSet[m] = true
+	}
+	next := -1
+	consider := func(u, dir int) {
+		if inSet[u] {
+			return
+		}
+		if r := d.setRadius(u, set); r < radius {
+			best, radius, next = u, r, dir
+		}
+	}
+	consider(p.id, -1)
+	for _, v := range p.neighbors {
+		for _, u := range p.aggrNode[v] {
+			consider(u, v)
+		}
+	}
+	if next == prev {
+		next = -1
+	}
+	return best, radius, next
+}
+
+// Splice applies the healing rule at p when its neighbor h departs.
+// survivors are h's surviving neighbors, sorted; the lowest-id one is the
+// hub every other survivor links to, which keeps the overlay a tree. p
+// drops its link to h and returns the neighbors it gained.
+func (p *Peer) Splice(h int, survivors []int) []int {
+	p.neighbors = removeSorted(p.neighbors, h)
+	if len(survivors) == 0 {
+		return nil
+	}
+	gained := survivors[:1]
+	if p.id == survivors[0] {
+		gained = survivors[1:]
+	}
+	for _, v := range gained {
+		p.neighbors = insertSorted(p.neighbors, v)
+	}
+	return gained
+}
+
+// Link adds v to p's neighbors (a host joined under p's anchor).
+func (p *Peer) Link(v int) { p.neighbors = insertSorted(p.neighbors, v) }
+
+// Reset purges p's aggregation state. Survivors of a departure reset
+// because any entry may transitively contain the departed host; the
+// protocol rebuilds the state from scratch.
+func (p *Peer) Reset() {
+	p.aggrNode = make(map[int][]int, len(p.neighbors))
+	p.aggrCRT = make(map[int][]int, len(p.neighbors))
+	p.selfCRT = nil
+}
+
+func removeSorted(xs []int, v int) []int {
+	i := sort.SearchInts(xs, v)
+	if i < len(xs) && xs[i] == v {
+		return append(xs[:i], xs[i+1:]...)
+	}
+	return xs
+}
+
+func insertSorted(xs []int, v int) []int {
+	i := sort.SearchInts(xs, v)
+	if i < len(xs) && xs[i] == v {
+		return xs
+	}
+	xs = append(xs, 0)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bwcluster/internal/cluster"
 	"bwcluster/internal/telemetry"
 )
 
@@ -34,16 +33,16 @@ func (r Result) Found() bool { return len(r.Cluster) > 0 }
 // ClassFor snaps a diameter constraint l to the largest configured class
 // that does not exceed it (never relaxing the constraint). Returns the
 // class value and its index.
-func (nw *Network) ClassFor(l float64) (float64, int, error) {
-	idx := sort.SearchFloat64s(nw.cfg.Classes, l)
+func (c Config) ClassFor(l float64) (float64, int, error) {
+	idx := sort.SearchFloat64s(c.Classes, l)
 	// Classes[idx-1] <= l < Classes[idx] unless Classes[idx] == l.
-	if idx < len(nw.cfg.Classes) && nw.cfg.Classes[idx] == l {
+	if idx < len(c.Classes) && c.Classes[idx] == l {
 		return l, idx, nil
 	}
 	if idx == 0 {
-		return 0, 0, fmt.Errorf("%w: l=%v < smallest class %v", ErrNoClass, l, nw.cfg.Classes[0])
+		return 0, 0, fmt.Errorf("%w: l=%v < smallest class %v", ErrNoClass, l, c.Classes[0])
 	}
-	return nw.cfg.Classes[idx-1], idx - 1, nil
+	return c.Classes[idx-1], idx - 1, nil
 }
 
 // Query runs Algorithm 4 starting at host start with size constraint k and
@@ -70,7 +69,7 @@ func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (R
 	if k < 2 {
 		return Result{}, fmt.Errorf("overlay: size constraint k must be >= 2, got %d", k)
 	}
-	classL, classIdx, err := nw.ClassFor(l)
+	classL, classIdx, err := nw.cfg.ClassFor(l)
 	if err != nil {
 		return Result{}, err
 	}
@@ -83,57 +82,29 @@ func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (R
 	// cannot cycle; the bound is a safety net against inconsistent CRTs.
 	for hop := 0; hop <= len(nw.hosts); hop++ {
 		res.Path = append(res.Path, cur)
-		p := nw.peers[cur]
 		hs := span.Child("hop")
 		hs.SetAttr("host", cur)
 		hs.SetAttr("radius", classL)
-		selfMax := 0
-		if len(p.selfCRT) > classIdx {
-			selfMax = p.selfCRT[classIdx]
+		step, err := nw.peers[cur].QueryHop(nw.dist, k, classIdx, classL, prev)
+		if err != nil {
+			return Result{}, err
 		}
-		hs.SetAttr("selfMax", selfMax)
-		if k <= selfMax {
-			if span != nil { // space sizing is trace-only work
-				space, err := nw.ClusteringSpace(cur)
-				if err != nil {
-					return Result{}, err
-				}
-				hs.SetAttr("localSpace", len(space))
-			}
-			members, err := nw.findLocal(cur, k, classL)
-			if err != nil {
-				return Result{}, err
-			}
-			if members != nil {
-				hs.SetAttr("answered", true)
-				hs.Finish()
-				res.Cluster = members
-				res.Answered = cur
-				nw.observeQuery(res)
-				return res, nil
-			}
+		hs.SetAttr("selfMax", step.SelfMax)
+		if step.Space > 0 {
+			hs.SetAttr("localSpace", step.Space)
 		}
-		next, promise := -1, 0
-		for _, v := range p.neighbors {
-			if v == prev {
-				continue
-			}
-			if crt := p.aggrCRT[v]; len(crt) > classIdx && k <= crt[classIdx] {
-				next, promise = v, crt[classIdx]
-				break
-			}
-		}
-		if next == -1 {
+		if step.Next == -1 {
 			hs.SetAttr("answered", true)
 			hs.Finish()
+			res.Cluster = step.Members
 			res.Answered = cur
 			nw.observeQuery(res)
 			return res, nil
 		}
-		hs.SetAttr("forwardTo", next)
-		hs.SetAttr("promise", promise)
+		hs.SetAttr("forwardTo", step.Next)
+		hs.SetAttr("promise", step.Promise)
 		hs.Finish()
-		prev, cur = cur, next
+		prev, cur = cur, step.Next
 		res.Hops++
 	}
 	return res, fmt.Errorf("overlay: query (k=%d, l=%v) exceeded hop bound; inconsistent CRTs", k, l)
@@ -143,25 +114,4 @@ func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (R
 func (nw *Network) observeQuery(res Result) {
 	mQueries.Inc()
 	mQueryHops.Observe(float64(res.Hops))
-}
-
-// findLocal runs Algorithm 1 on cur's clustering space and maps the
-// result back to host ids.
-func (nw *Network) findLocal(cur, k int, l float64) ([]int, error) {
-	space, ids, err := nw.localSpace(cur)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := cluster.FindCluster(space, k, l)
-	if err != nil {
-		return nil, fmt.Errorf("overlay: local clustering at %d: %w", cur, err)
-	}
-	if sel == nil {
-		return nil, nil
-	}
-	members := make([]int, len(sel))
-	for i, s := range sel {
-		members[i] = ids[s]
-	}
-	return members, nil
 }

@@ -1,9 +1,6 @@
 package overlay
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RemoveHost handles a peer's failure or departure. The overlay heals by
 // splicing: the departed host's remaining neighbors are connected to its
@@ -24,27 +21,17 @@ func (nw *Network) RemoveHost(h int) error {
 	if len(nw.peers) == 1 {
 		return fmt.Errorf("overlay: cannot remove the last host")
 	}
-	neighbors := append([]int(nil), p.neighbors...)
 	delete(nw.peers, h)
 
 	// Splice the survivors around the hole.
-	var hub int = -1
-	for _, nb := range neighbors {
+	var survivors []int
+	for _, nb := range p.neighbors {
 		if _, alive := nw.peers[nb]; alive {
-			hub = nb
-			break
+			survivors = append(survivors, nb)
 		}
 	}
-	for _, nb := range neighbors {
-		q, alive := nw.peers[nb]
-		if !alive {
-			continue
-		}
-		q.neighbors = removeSorted(q.neighbors, h)
-		if nb != hub {
-			q.neighbors = insertSorted(q.neighbors, hub)
-			nw.peers[hub].neighbors = insertSorted(nw.peers[hub].neighbors, nb)
-		}
+	for _, nb := range survivors {
+		nw.peers[nb].Splice(h, survivors)
 	}
 
 	// Drop the host from the roster and reset aggregation state.
@@ -56,28 +43,7 @@ func (nw *Network) RemoveHost(h int) error {
 	}
 	nw.hosts = hosts
 	for _, q := range nw.peers {
-		q.aggrNode = make(map[int][]int, len(q.neighbors))
-		q.aggrCRT = make(map[int][]int, len(q.neighbors))
-		q.selfCRT = nil
+		q.Reset()
 	}
 	return nil
-}
-
-func removeSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return append(xs[:i], xs[i+1:]...)
-	}
-	return xs
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }

@@ -118,7 +118,7 @@ func TestRemoveHostSplicesAndReconverges(t *testing.T) {
 			reach := reachableViaAdjacency(nw, x, m)
 			wantDists := make([]float64, 0, len(reach))
 			for _, u := range reach {
-				wantDists = append(wantDists, nw.predDist(x, u))
+				wantDists = append(wantDists, nw.dist.Between(x, u))
 			}
 			sort.Float64s(wantDists)
 			if len(wantDists) > cfg.NCut {
@@ -130,7 +130,7 @@ func TestRemoveHostSplicesAndReconverges(t *testing.T) {
 				if removed[u] {
 					t.Fatalf("aggrNode of %d via %d contains removed host %d", x, m, u)
 				}
-				gotDists = append(gotDists, nw.predDist(x, u))
+				gotDists = append(gotDists, nw.dist.Between(x, u))
 			}
 			sort.Float64s(gotDists)
 			if len(gotDists) != len(wantDists) {

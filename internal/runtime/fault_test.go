@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,14 +35,14 @@ func convergedNetwork(t *testing.T, sub overlay.Substrate, cfg overlay.Config) *
 func assertMatchesFixedPoint(t *testing.T, nw *overlay.Network, rt *Runtime, label string) {
 	t.Helper()
 	for _, x := range rt.Hosts() {
-		if want, got := nw.SelfCRT(x), rt.SelfCRT(x); !equalInts(want, got) {
+		if want, got := nw.SelfCRT(x), rt.SelfCRT(x); !slices.Equal(want, got) {
 			t.Fatalf("%s: selfCRT mismatch at %d: sync=%v async=%v", label, x, want, got)
 		}
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("%s: aggrNode mismatch at x=%d m=%d: sync=%v async=%v", label, x, m, want, got)
 			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !equalInts(want, got) {
+			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
 				t.Fatalf("%s: CRT mismatch at x=%d m=%d: sync=%v async=%v", label, x, m, want, got)
 			}
 		}

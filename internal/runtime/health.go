@@ -90,8 +90,10 @@ func (rt *Runtime) maxGossipAge(now uint64) uint64 {
 	for _, p := range peers {
 		p.mu.Lock()
 		for _, last := range p.lastGossip {
-			if age := now - last; age > worst {
-				worst = age
+			// A gossip handled after now was read is fresher than now,
+			// not 2^64 ticks old.
+			if last < now && now-last > worst {
+				worst = now - last
 			}
 		}
 		p.mu.Unlock()

@@ -31,7 +31,7 @@ func (rt *Runtime) QueryNodeTraced(start int, set []int, l float64, timeout time
 	}
 	tbl := rt.table.Load()
 	for _, m := range set {
-		if _, ok := tbl.index[m]; !ok {
+		if !tbl.Has(m) {
 			return overlay.NodeResult{}, fmt.Errorf("runtime: set member %d is not a live host", m)
 		}
 	}
@@ -107,43 +107,16 @@ func (rt *Runtime) resolveNode(r *transport.NodeResult) {
 	e.ch <- nodeOutcome{res: overlay.NodeResult{Node: r.Node, Radius: r.Radius, Hops: r.Hops, Answered: r.Answered}}
 }
 
-// handleNodeQuery executes one hill-climbing step at this peer. ht is
-// the hop's trace state (nil when untraced).
+// handleNodeQuery executes one hill-climbing step at this peer
+// (overlay's Peer.ClimbHop). ht is the hop's trace state (nil when
+// untraced).
 func (p *peer) handleNodeQuery(q *transport.NodeQuery, ht *hopTrace) {
-	inSet := make(map[int]bool, len(q.Set))
-	for _, m := range q.Set {
-		inSet[m] = true
-	}
-	setRadius := func(u int) float64 {
-		worst := 0.0
-		for _, m := range q.Set {
-			if d := p.rt.predDist(u, m); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-
 	p.mu.Lock()
-	bestDir := -1
-	consider := func(u, dir int) {
-		if inSet[u] {
-			return
-		}
-		if r := setRadius(u); r < q.BestRadius {
-			q.BestNode, q.BestRadius = u, r
-			bestDir = dir
-		}
-	}
-	consider(p.id, -1)
-	for _, v := range p.neighbors {
-		for _, u := range p.aggrNode[v] {
-			consider(u, v)
-		}
-	}
+	var next int
+	q.BestNode, q.BestRadius, next = p.core.ClimbHop(p.rt.table.Load(), q.Set, q.Prev, q.BestNode, q.BestRadius)
 	p.mu.Unlock()
 
-	if bestDir == -1 || bestDir == q.Prev || q.Hops >= maxQueryHops {
+	if next == -1 || q.Hops >= maxQueryHops {
 		ht.setNote("answered")
 		p.answerNodeQuery(q, ht)
 		p.finishHop(ht, "nodequery")
@@ -156,7 +129,7 @@ func (p *peer) handleNodeQuery(q *transport.NodeQuery, ht *hopTrace) {
 	// Copy the set so the forwarded message shares no backing array with
 	// this delivery.
 	fwd.Set = append([]int(nil), q.Set...)
-	p.forwardNodeQuery(bestDir, &fwd, ht)
+	p.forwardNodeQuery(next, &fwd, ht)
 	p.finishHop(ht, "nodequery")
 }
 

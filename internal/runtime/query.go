@@ -2,10 +2,8 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"bwcluster/internal/cluster"
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/predtree"
 	"bwcluster/internal/telemetry"
@@ -36,7 +34,7 @@ func (rt *Runtime) QueryTraced(start, k int, l float64, timeout time.Duration, s
 	if k < 2 {
 		return overlay.Result{}, fmt.Errorf("runtime: size constraint k must be >= 2, got %d", k)
 	}
-	classL, classIdx, err := rt.classFor(l)
+	classL, classIdx, err := rt.cfg.ClassFor(l)
 	if err != nil {
 		return overlay.Result{}, err
 	}
@@ -105,59 +103,26 @@ func (rt *Runtime) resolveCluster(r *transport.Result) {
 	e.ch <- clusterOutcome{res: overlay.Result{Cluster: r.Cluster, Hops: r.Hops, Answered: r.Answered, Class: r.Class, Path: r.Path}}
 }
 
-// classFor snaps l to the largest configured class <= l.
-func (rt *Runtime) classFor(l float64) (float64, int, error) {
-	classes := rt.cfg.Classes
-	idx := sort.SearchFloat64s(classes, l)
-	if idx < len(classes) && classes[idx] == l {
-		return l, idx, nil
-	}
-	if idx == 0 {
-		return 0, 0, fmt.Errorf("%w: l=%v < smallest class %v", overlay.ErrNoClass, l, classes[0])
-	}
-	return classes[idx-1], idx - 1, nil
-}
-
-// handleQuery runs one Algorithm 4 step at this peer: answer locally if
-// the local CRT admits the size, otherwise forward toward a promising
-// neighbor, otherwise report failure. ht is the hop's trace state (nil
-// when untraced); the span event is reported when the step concludes.
+// handleQuery runs one Algorithm 4 step at this peer (overlay's
+// Peer.QueryHop): answer locally if the local search finds a cluster,
+// otherwise forward toward a promising neighbor, otherwise report
+// failure. ht is the hop's trace state (nil when untraced); the span
+// event is reported when the step concludes.
 func (p *peer) handleQuery(q *transport.Query, ht *hopTrace) {
 	q.Path = append(q.Path, p.id)
 	p.mu.Lock()
-	if p.dirty {
-		p.recomputeSelfCRTLocked()
-		p.dirty = false
-	}
-	var members []int
-	if len(p.selfCRT) > q.ClassIdx && q.K <= p.selfCRT[q.ClassIdx] {
-		hosts, space := p.spaceLocked()
-		if sel, err := cluster.FindCluster(space, q.K, q.ClassL); err == nil && sel != nil {
-			members = make([]int, len(sel))
-			for i, s := range sel {
-				members[i] = hosts[s]
-			}
-		}
-	}
-	next := -1
-	if members == nil {
-		for _, v := range p.neighbors {
-			if v == q.Prev {
-				continue
-			}
-			if crt := p.aggrCRT[v]; len(crt) > q.ClassIdx && q.K <= crt[q.ClassIdx] {
-				next = v
-				break
-			}
-		}
-	}
+	d := p.rt.table.Load()
+	p.refreshSelfCRTLocked(d)
+	// A local-search error leaves no members and no next hop, so the
+	// peer answers not-found.
+	step, _ := p.core.QueryHop(d, q.K, q.ClassIdx, q.ClassL, q.Prev)
 	p.mu.Unlock()
 
 	switch {
-	case members != nil:
+	case step.Members != nil:
 		ht.setNote("answered")
-		p.answerQuery(q, members, ht)
-	case next != -1 && q.Hops < maxQueryHops:
+		p.answerQuery(q, step.Members, ht)
+	case step.Next != -1 && q.Hops < maxQueryHops:
 		ht.setNote("forward")
 		fwd := *q
 		fwd.Prev = p.id
@@ -165,7 +130,7 @@ func (p *peer) handleQuery(q *transport.Query, ht *hopTrace) {
 		// Copy the path: the forwarded message and this peer's local view
 		// must not share a backing array across goroutines.
 		fwd.Path = append([]int(nil), q.Path...)
-		p.forwardQuery(next, &fwd, ht)
+		p.forwardQuery(step.Next, &fwd, ht)
 	default:
 		ht.setNote("notfound")
 		p.answerQuery(q, nil, ht)
@@ -225,17 +190,12 @@ func (rt *Runtime) AddHost(h int, o predtree.Oracle) error {
 	if err := dyn.Add(h, o); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
-	dist, hosts := rt.sub.DistMatrix()
-	tbl := &distTable{dist: dist, index: make(map[int]int, len(hosts))}
-	for i, hh := range hosts {
-		tbl.index[hh] = i
-	}
+	tbl := overlay.NewDist(rt.sub)
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.table.Store(tbl)
 	nb := rt.sub.AnchorNeighbors(h)
-	sort.Ints(nb)
 	p, err := rt.newPeer(h, nb)
 	if err != nil {
 		return fmt.Errorf("runtime: %w", err)
@@ -246,7 +206,7 @@ func (rt *Runtime) AddHost(h int, o predtree.Oracle) error {
 	for _, other := range nb {
 		if q := rt.peers[other]; q != nil {
 			q.mu.Lock()
-			q.neighbors = insertSorted(q.neighbors, h)
+			q.core.Link(h)
 			q.lastGossip[h] = now // fresh link; age the watermark from now
 			q.dirty = true
 			q.mu.Unlock()
@@ -259,15 +219,4 @@ func (rt *Runtime) AddHost(h int, o predtree.Oracle) error {
 		_ = tk.NoteJoin(h, now)
 	}
 	return nil
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
 }

@@ -2,15 +2,14 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"bwcluster/internal/overlay"
 )
 
 // RemoveHost simulates a peer crash: the peer's goroutine is stopped, the
-// overlay splices its neighbors to its lowest-id neighbor (the same
-// healing rule as overlay.Network.RemoveHost, so the two engines stay
-// comparable), and every survivor's aggregation state is purged — gossip
+// overlay splices its neighbors to its lowest-id neighbor (overlay's
+// Peer.Splice, the rule overlay.Network.RemoveHost applies too), and
+// every survivor's aggregation state is purged — gossip
 // rebuilds it within a few ticks. Queries in flight toward the dead peer
 // fail over to a not-found reply; queries the dead peer itself originated
 // are canceled immediately with ErrOriginRemoved, so their callers fail
@@ -47,54 +46,32 @@ func (rt *Runtime) spliceOutHost(h int) error {
 	delete(rt.peers, h)
 
 	p.mu.Lock()
-	neighbors := append([]int(nil), p.neighbors...)
+	neighbors := p.core.Neighbors()
 	p.mu.Unlock()
 
 	now := rt.ticks.Load()
-	hub := -1
+	var survivors []int
 	for _, nb := range neighbors {
 		if _, alive := rt.peers[nb]; alive {
-			hub = nb
-			break
+			survivors = append(survivors, nb)
 		}
 	}
-	for _, nb := range neighbors {
-		q, alive := rt.peers[nb]
-		if !alive {
-			continue
-		}
+	for _, nb := range survivors {
+		q := rt.peers[nb]
 		q.mu.Lock()
-		q.neighbors = removeSortedInt(q.neighbors, h)
 		// Drop the dead link's gossip-age watermark — it would otherwise
 		// age without bound and keep the health gauge pinned stale.
 		delete(q.lastGossip, h)
-		if nb != hub {
-			q.neighbors = insertSorted(q.neighbors, hub)
-			q.lastGossip[hub] = now // fresh link; age from now
+		for _, v := range q.core.Splice(h, survivors) {
+			q.lastGossip[v] = now // fresh link; age from now
 		}
 		q.mu.Unlock()
-	}
-	if hub >= 0 {
-		hp := rt.peers[hub]
-		hp.mu.Lock()
-		for _, nb := range neighbors {
-			if nb == hub {
-				continue
-			}
-			if _, alive := rt.peers[nb]; alive {
-				hp.neighbors = insertSorted(hp.neighbors, nb)
-				hp.lastGossip[nb] = now
-			}
-		}
-		hp.mu.Unlock()
 	}
 	// Purge every survivor's aggregation state: entries anywhere may
 	// transitively contain the dead host.
 	for _, q := range rt.peers {
 		q.mu.Lock()
-		q.aggrNode = make(map[int][]int, len(q.neighbors))
-		q.aggrCRT = make(map[int][]int, len(q.neighbors))
-		q.selfCRT = nil
+		q.core.Reset()
 		q.dirty = true
 		q.mu.Unlock()
 	}
@@ -165,17 +142,11 @@ func (rt *Runtime) repairOutHost(dyn RemovableSubstrate, h int) error {
 	}
 	delete(rt.peers, h)
 
-	dist, hosts := rt.sub.DistMatrix()
-	tbl := &distTable{dist: dist, index: make(map[int]int, len(hosts))}
-	for i, hh := range hosts {
-		tbl.index[hh] = i
-	}
-	rt.table.Store(tbl)
+	rt.table.Store(overlay.NewDist(rt.sub))
 
 	now := rt.ticks.Load()
 	for id, q := range rt.peers {
 		nb := rt.sub.AnchorNeighbors(id)
-		sort.Ints(nb)
 		q.mu.Lock()
 		last := make(map[int]uint64, len(nb))
 		for _, v := range nb {
@@ -185,11 +156,8 @@ func (rt *Runtime) repairOutHost(dyn RemovableSubstrate, h int) error {
 				last[v] = now
 			}
 		}
-		q.neighbors = nb
+		q.core = overlay.NewPeer(id, nb)
 		q.lastGossip = last
-		q.aggrNode = make(map[int][]int, len(nb))
-		q.aggrCRT = make(map[int][]int, len(nb))
-		q.selfCRT = nil
 		q.dirty = true
 		q.mu.Unlock()
 	}
@@ -237,12 +205,4 @@ func (rt *Runtime) cancelPendingFor(h int) {
 		ch <- nodeOutcome{err: err}
 		mPendCanceled.Inc()
 	}
-}
-
-func removeSortedInt(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return append(xs[:i], xs[i+1:]...)
-	}
-	return xs
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"bwcluster/internal/overlay"
@@ -50,14 +51,14 @@ func TestRemoveHostHealsToSyncFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range nw.Hosts() {
-		if want, got := nw.Neighbors(x), rt.Neighbors(x); !equalInts(want, got) {
+		if want, got := nw.Neighbors(x), rt.Neighbors(x); !slices.Equal(want, got) {
 			t.Fatalf("adjacency mismatch at %d: sync=%v async=%v", x, want, got)
 		}
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("post-crash aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !equalInts(want, got) {
+			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
 				t.Fatalf("post-crash CRT mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
 		}
@@ -117,14 +118,14 @@ func TestEvictHostRepairsToSyncFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range nw.Hosts() {
-		if want, got := nw.Neighbors(x), rt.Neighbors(x); !equalInts(want, got) {
+		if want, got := nw.Neighbors(x), rt.Neighbors(x); !slices.Equal(want, got) {
 			t.Fatalf("adjacency mismatch at %d: sync=%v async=%v", x, want, got)
 		}
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("post-evict aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !equalInts(want, got) {
+			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
 				t.Fatalf("post-evict CRT mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
 		}

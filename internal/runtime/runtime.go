@@ -13,10 +13,15 @@
 // and an optional subset of peers to host locally, which is what allows
 // one protocol network to span several processes.
 //
-// Both engines share the same deterministic propagation rules, so a
-// settled Runtime reaches exactly the fixed point overlay.Network
-// computes; the cross-engine test asserts that equality over every
-// transport backend.
+// The protocol rules themselves are not here: every peer's state is an
+// overlay.Peer, and the runtime drives overlay's rules (Algorithm 2/3
+// messages, the self CRT, the Algorithm 4 and hill-climb steps, the
+// splice) exactly as overlay.Network does, adding only what asynchrony
+// needs — locking, transport sends, loss injection, gossip-age
+// watermarks, version bookkeeping, tracing and reply tables. A settled
+// Runtime therefore reaches exactly the fixed point overlay.Network
+// computes and answers queries along the same routes; the cross-engine
+// tests assert the fixed point over every transport backend.
 package runtime
 
 import (
@@ -29,9 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bwcluster/internal/cluster"
 	"bwcluster/internal/lockcheck"
-	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/telemetry"
 	"bwcluster/internal/transport"
@@ -42,13 +45,6 @@ const (
 	inboxCapacity = transport.DefaultInboxCapacity
 	replyCapacity = 1
 )
-
-// distTable is an immutable snapshot of the predicted distances; Runtime
-// swaps in a new snapshot atomically when membership changes.
-type distTable struct {
-	dist  *metric.Matrix
-	index map[int]int
-}
 
 // Runtime hosts asynchronous peers on top of a message transport. In the
 // default single-process configuration it hosts every substrate host; a
@@ -61,7 +57,7 @@ type Runtime struct {
 	tick    time.Duration
 	tr      transport.Transport
 	ownsTr  bool // Close the transport on Stop
-	table   atomic.Pointer[distTable]
+	table   atomic.Pointer[overlay.Dist]
 	version atomic.Int64 // bumped on every peer state change
 
 	lossRate atomic.Uint64 // gossip loss probability, stored as math.Float64bits
@@ -159,19 +155,16 @@ func (rt *Runtime) InjectLoss(rate float64) error {
 }
 
 type peer struct {
-	id        int
-	rt        *Runtime
-	neighbors []int
-	recv      <-chan transport.Message
-	stop      chan struct{}
-	done      chan struct{}
-	lossRng   *rand.Rand // per-peer source for loss injection
+	id      int
+	rt      *Runtime
+	recv    <-chan transport.Message
+	stop    chan struct{}
+	done    chan struct{}
+	lossRng *rand.Rand // per-peer source for loss injection
 
 	mu         lockcheck.Mutex
-	aggrNode   map[int][]int
-	aggrCRT    map[int][]int
-	selfCRT    []int
-	dirty      bool           // V_x changed since selfCRT was computed
+	core       *overlay.Peer  // guarded by mu; the protocol state and rules
+	dirty      bool           // V_x changed since the self CRT was computed
 	lastGossip map[int]uint64 // guarded by mu; monitor tick of each neighbor's last gossip
 }
 
@@ -196,11 +189,9 @@ func NewWithTransport(sub overlay.Substrate, cfg overlay.Config, tick time.Durat
 	if tick <= 0 {
 		tick = defaultTick
 	}
-	// Reuse overlay's validation by constructing a throwaway network.
-	if _, err := overlay.NewNetwork(sub, cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	dist, hosts := sub.DistMatrix()
 	owns := false
 	if tr == nil {
 		tr = transport.NewChan(inboxCapacity)
@@ -212,7 +203,7 @@ func NewWithTransport(sub overlay.Substrate, cfg overlay.Config, tick time.Durat
 		tick:        tick,
 		tr:          tr,
 		ownsTr:      owns,
-		peers:       make(map[int]*peer, len(hosts)),
+		peers:       make(map[int]*peer, sub.Len()),
 		pendCluster: make(map[uint64]pendingCluster),
 		pendNode:    make(map[uint64]pendingNode),
 		collector:   telemetry.NewTraceCollector(0),
@@ -222,22 +213,17 @@ func NewWithTransport(sub overlay.Substrate, cfg overlay.Config, tick time.Durat
 	// mirror the lock classes bwc-vet's static lockorder check derives.
 	rt.mu.SetClass("runtime.Runtime.mu")
 	rt.pendMu.SetClass("runtime.Runtime.pendMu")
-	tbl := &distTable{dist: dist, index: make(map[int]int, len(hosts))}
-	for i, h := range hosts {
-		tbl.index[h] = i
-	}
+	tbl := overlay.NewDist(sub)
 	rt.table.Store(tbl)
 	if local == nil {
-		local = hosts
+		local = sub.Hosts()
 	}
 	for _, h := range local {
-		if _, ok := tbl.index[h]; !ok {
+		if !tbl.Has(h) {
 			rt.closeOwnedTransport()
 			return nil, fmt.Errorf("runtime: local host %d is not in the substrate", h)
 		}
-		nb := sub.AnchorNeighbors(h)
-		sort.Ints(nb)
-		p, err := rt.newPeer(h, nb)
+		p, err := rt.newPeer(h, sub.AnchorNeighbors(h))
 		if err != nil {
 			rt.closeOwnedTransport()
 			return nil, fmt.Errorf("runtime: %w", err)
@@ -255,7 +241,8 @@ func (rt *Runtime) closeOwnedTransport() {
 	}
 }
 
-// newPeer registers id with the transport and builds its peer.
+// newPeer registers id with the transport and builds its peer over the
+// given anchor-tree neighbors.
 func (rt *Runtime) newPeer(id int, neighbors []int) (*peer, error) {
 	recv, err := rt.tr.Register(id)
 	if err != nil {
@@ -269,13 +256,11 @@ func (rt *Runtime) newPeer(id int, neighbors []int) (*peer, error) {
 	p := &peer{
 		id:         id,
 		rt:         rt,
-		neighbors:  neighbors,
 		recv:       recv,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		lossRng:    rand.New(rand.NewSource(int64(id)*7919 + 1)),
-		aggrNode:   make(map[int][]int, len(neighbors)),
-		aggrCRT:    make(map[int][]int, len(neighbors)),
+		core:       overlay.NewPeer(id, neighbors),
 		dirty:      true,
 		lastGossip: last,
 	}
@@ -361,11 +346,6 @@ func (rt *Runtime) Settle(quiet, timeout time.Duration) error {
 	}
 }
 
-func (rt *Runtime) predDist(a, b int) float64 {
-	tbl := rt.table.Load()
-	return tbl.dist.Dist(tbl.index[a], tbl.index[b])
-}
-
 func (rt *Runtime) peerByID(id int) *peer {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -411,8 +391,7 @@ func (p *peer) handle(m transport.Message) {
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
 		p.lastGossip[m.From] = now
-		if !equalInts(p.aggrNode[m.From], m.Nodes) {
-			p.aggrNode[m.From] = m.Nodes
+		if p.core.SetAggrNode(m.From, m.Nodes) {
 			p.dirty = true
 			p.rt.version.Add(1)
 		}
@@ -422,8 +401,7 @@ func (p *peer) handle(m transport.Message) {
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
 		p.lastGossip[m.From] = now
-		if !equalInts(p.aggrCRT[m.From], m.CRT) {
-			p.aggrCRT[m.From] = m.CRT
+		if p.core.SetAggrCRT(m.From, m.CRT) {
 			p.rt.version.Add(1)
 		}
 		p.mu.Unlock()
@@ -460,15 +438,14 @@ func (p *peer) handle(m transport.Message) {
 // next tick.
 func (p *peer) gossip() {
 	p.mu.Lock()
-	if p.dirty {
-		p.recomputeSelfCRTLocked()
-		p.dirty = false
-	}
-	outs := make([]transport.Message, 0, 2*len(p.neighbors))
-	for _, x := range p.neighbors {
+	d := p.rt.table.Load()
+	p.refreshSelfCRTLocked(d)
+	neighbors := p.core.Neighbors()
+	outs := make([]transport.Message, 0, 2*len(neighbors))
+	for _, x := range neighbors {
 		outs = append(outs,
-			transport.Message{Kind: transport.KindNodeInfo, From: p.id, To: x, Nodes: p.propNodeLocked(x)},
-			transport.Message{Kind: transport.KindCRT, From: p.id, To: x, CRT: p.propCRTLocked(x)},
+			transport.Message{Kind: transport.KindNodeInfo, From: p.id, To: x, Nodes: p.core.PropNode(x, d, p.rt.cfg.NCut)},
+			transport.Message{Kind: transport.KindCRT, From: p.id, To: x, CRT: p.core.PropCRT(x, len(p.rt.cfg.Classes))},
 		)
 	}
 	p.mu.Unlock()
@@ -482,83 +459,17 @@ func (p *peer) gossip() {
 	}
 }
 
-// propNodeLocked mirrors overlay's Algorithm 2 message computation.
-func (p *peer) propNodeLocked(x int) []int {
-	cand := map[int]bool{p.id: true}
-	for _, v := range p.neighbors {
-		if v == x {
-			continue
-		}
-		for _, u := range p.aggrNode[v] {
-			cand[u] = true
-		}
+// refreshSelfCRTLocked recomputes the self CRT if the clustering space
+// changed since it was last computed, bumping the version and noting the
+// work in the flight recorder when the CRT moves.
+func (p *peer) refreshSelfCRTLocked(d *overlay.Dist) {
+	if !p.dirty {
+		return
 	}
-	delete(cand, x)
-	ids := make([]int, 0, len(cand))
-	for u := range cand {
-		ids = append(ids, u)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := p.rt.predDist(x, ids[i]), p.rt.predDist(x, ids[j])
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > p.rt.cfg.NCut {
-		ids = ids[:p.rt.cfg.NCut]
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// propCRTLocked mirrors overlay's Algorithm 3 message computation.
-func (p *peer) propCRTLocked(x int) []int {
-	crt := make([]int, len(p.rt.cfg.Classes))
-	copy(crt, p.selfCRT)
-	for _, v := range p.neighbors {
-		if v == x {
-			continue
-		}
-		for ci, size := range p.aggrCRT[v] {
-			if size > crt[ci] {
-				crt[ci] = size
-			}
-		}
-	}
-	return crt
-}
-
-func (p *peer) spaceLocked() ([]int, *metric.Matrix) {
-	set := map[int]bool{p.id: true}
-	for _, v := range p.neighbors {
-		for _, u := range p.aggrNode[v] {
-			set[u] = true
-		}
-	}
-	hosts := make([]int, 0, len(set))
-	for u := range set {
-		hosts = append(hosts, u)
-	}
-	sort.Ints(hosts)
-	sub := metric.FromFunc(len(hosts), func(i, j int) float64 {
-		return p.rt.predDist(hosts[i], hosts[j])
-	})
-	return hosts, sub
-}
-
-func (p *peer) recomputeSelfCRTLocked() {
-	_, space := p.spaceLocked()
-	ix, err := cluster.NewIndex(space)
-	if err != nil {
-		return // cannot happen: space is never nil
-	}
-	selfCRT := make([]int, len(p.rt.cfg.Classes))
-	for ci, l := range p.rt.cfg.Classes {
-		selfCRT[ci] = ix.MaxSize(l)
-	}
-	if !equalInts(p.selfCRT, selfCRT) {
-		p.selfCRT = selfCRT
+	p.dirty = false
+	// NewIndex cannot fail on a clustering space, which always holds the
+	// peer itself; a failure would leave the self CRT as it was.
+	if changed, _ := p.core.RecomputeSelfCRT(d, p.rt.cfg.Classes); changed {
 		p.rt.version.Add(1)
 		// Gossip-triggered work, visible in the black box: the peer's
 		// clustering space changed enough to move its CRT.
@@ -569,64 +480,28 @@ func (p *peer) recomputeSelfCRTLocked() {
 // AggrNode returns a copy of peer x's aggregated node info from neighbor
 // m, nil for unknown peers.
 func (rt *Runtime) AggrNode(x, m int) []int {
-	p := rt.peerByID(x)
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, len(p.aggrNode[m]))
-	copy(out, p.aggrNode[m])
-	return out
+	return rt.view(x, func(c *overlay.Peer) []int { return c.AggrNode(m) })
 }
 
 // CRT returns a copy of peer x's per-class CRT entry for neighbor m.
 func (rt *Runtime) CRT(x, m int) []int {
-	p := rt.peerByID(x)
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, len(p.aggrCRT[m]))
-	copy(out, p.aggrCRT[m])
-	return out
+	return rt.view(x, func(c *overlay.Peer) []int { return c.CRT(m) })
 }
 
 // SelfCRT returns a copy of peer x's own per-class max cluster sizes.
-func (rt *Runtime) SelfCRT(x int) []int {
-	p := rt.peerByID(x)
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, len(p.selfCRT))
-	copy(out, p.selfCRT)
-	return out
-}
+func (rt *Runtime) SelfCRT(x int) []int { return rt.view(x, (*overlay.Peer).SelfCRT) }
 
 // Neighbors returns peer x's overlay neighbors.
-func (rt *Runtime) Neighbors(x int) []int {
+func (rt *Runtime) Neighbors(x int) []int { return rt.view(x, (*overlay.Peer).Neighbors) }
+
+// view reads peer x's protocol state through f under the peer's lock,
+// nil for unknown peers.
+func (rt *Runtime) view(x int, f func(*overlay.Peer) []int) []int {
 	p := rt.peerByID(x)
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]int, len(p.neighbors))
-	copy(out, p.neighbors)
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return f(p.core)
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,14 +72,14 @@ func TestAsyncMatchesSynchronousFixedPoint(t *testing.T) {
 	for _, x := range nw.Hosts() {
 		wantSelf := nw.SelfCRT(x)
 		gotSelf := rt.SelfCRT(x)
-		if !equalInts(wantSelf, gotSelf) {
+		if !slices.Equal(wantSelf, gotSelf) {
 			t.Fatalf("selfCRT mismatch at %d: sync=%v async=%v", x, wantSelf, gotSelf)
 		}
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !equalInts(want, got) {
+			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
 				t.Fatalf("CRT mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
 		}
@@ -121,9 +122,11 @@ func TestAsyncQueryAgreesWithSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if syncRes.Found() != asyncRes.Found() {
-			t.Fatalf("start=%d k=%d l=%v: sync found=%v async found=%v",
-				start, k, l, syncRes.Found(), asyncRes.Found())
+		// Both engines run overlay's Algorithm 4 step over the same
+		// settled state, so the whole route and answer must agree.
+		if !slices.Equal(syncRes.Cluster, asyncRes.Cluster) || !slices.Equal(syncRes.Path, asyncRes.Path) ||
+			syncRes.Hops != asyncRes.Hops || syncRes.Answered != asyncRes.Answered || syncRes.Class != asyncRes.Class {
+			t.Fatalf("start=%d k=%d l=%v: sync=%+v async=%+v", start, k, l, syncRes, asyncRes)
 		}
 		if len(asyncRes.Path) != asyncRes.Hops+1 || asyncRes.Path[0] != start {
 			t.Fatalf("async path %v inconsistent with hops %d, start %d",
@@ -132,7 +135,7 @@ func TestAsyncQueryAgreesWithSync(t *testing.T) {
 		if asyncRes.Found() {
 			for i := 0; i < len(asyncRes.Cluster); i++ {
 				for j := i + 1; j < len(asyncRes.Cluster); j++ {
-					d := rt.predDist(asyncRes.Cluster[i], asyncRes.Cluster[j])
+					d := rt.table.Load().Between(asyncRes.Cluster[i], asyncRes.Cluster[j])
 					if d > asyncRes.Class*(1+1e-9) {
 						t.Fatalf("cluster pair at %v > class %v", d, asyncRes.Class)
 					}
@@ -203,7 +206,7 @@ func TestAddHostMidFlight(t *testing.T) {
 	}
 	for _, x := range nw.Hosts() {
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("post-churn aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
 		}
@@ -287,9 +290,8 @@ func TestAsyncNodeQueryAgreesWithSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Node != got.Node || want.Hops != got.Hops {
-			t.Fatalf("trial %d: sync=(%d,%d hops) async=(%d,%d hops)",
-				trial, want.Node, want.Hops, got.Node, got.Hops)
+		if want != got {
+			t.Fatalf("trial %d: sync=%+v async=%+v", trial, want, got)
 		}
 	}
 	if _, err := rt.QueryNode(999, []int{hosts[0]}, 8, queryWait); err == nil {
@@ -333,10 +335,10 @@ func TestSettlesUnderMessageLoss(t *testing.T) {
 	}
 	for _, x := range nw.Hosts() {
 		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !equalInts(want, got) {
+			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
 				t.Fatalf("lossy aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !equalInts(want, got) {
+			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
 				t.Fatalf("lossy CRT mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
 			}
 		}
@@ -429,19 +431,5 @@ func TestTrafficCounters(t *testing.T) {
 	}
 	if _, _, q := rt.Traffic(); q <= 0 {
 		t.Error("query traffic not recorded")
-	}
-}
-
-func TestInsertSorted(t *testing.T) {
-	got := insertSorted([]int{1, 3, 5}, 4)
-	want := []int{1, 3, 4, 5}
-	if !equalInts(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	if got := insertSorted([]int{1, 3}, 3); !equalInts(got, []int{1, 3}) {
-		t.Errorf("duplicate insert: %v", got)
-	}
-	if got := insertSorted(nil, 2); !equalInts(got, []int{2}) {
-		t.Errorf("empty insert: %v", got)
 	}
 }

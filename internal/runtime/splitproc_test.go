@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,14 +90,14 @@ func TestSplitProcessChild(t *testing.T) {
 // peer process is still gossiping.
 func matchesFixedPoint(nw *overlay.Network, rt *Runtime) bool {
 	for _, x := range rt.Hosts() {
-		if !equalInts(nw.SelfCRT(x), rt.SelfCRT(x)) {
+		if !slices.Equal(nw.SelfCRT(x), rt.SelfCRT(x)) {
 			return false
 		}
 		for _, m := range nw.Neighbors(x) {
-			if !equalInts(nw.AggrNode(x, m), rt.AggrNode(x, m)) {
+			if !slices.Equal(nw.AggrNode(x, m), rt.AggrNode(x, m)) {
 				return false
 			}
-			if !equalInts(nw.CRT(x, m), rt.CRT(x, m)) {
+			if !slices.Equal(nw.CRT(x, m), rt.CRT(x, m)) {
 				return false
 			}
 		}

@@ -362,6 +362,31 @@ func TestHealthConvergenceMonitor(t *testing.T) {
 	}
 }
 
+// A gossip handled after the monitor read its tick carries a watermark
+// newer than that tick: its age is zero, not a wrapped-around uint64.
+func TestMaxGossipAgeFreshWatermark(t *testing.T) {
+	tree, _ := buildTree(t, 6, 0.2, 3)
+	rt, err := New(tree, testConfig(), testTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	for _, h := range rt.Hosts() {
+		p := rt.peerByID(h)
+		p.mu.Lock()
+		for v := range p.lastGossip {
+			p.lastGossip[v] = 10
+		}
+		p.mu.Unlock()
+	}
+	if age := rt.maxGossipAge(5); age != 0 {
+		t.Fatalf("watermark newer than now: age %d, want 0", age)
+	}
+	if age := rt.maxGossipAge(12); age != 2 {
+		t.Fatalf("age %d, want 2", age)
+	}
+}
+
 // TestMonitorRunsWithRuntime: the started monitor advances the logical
 // clock and reaches the converged state on a settled network without any
 // injected ticks — the production path of the same logic the synthetic

@@ -26,9 +26,10 @@ type systemWire struct {
 	Classes []float64
 	BW      *metric.Matrix
 	Forest  *predtree.Forest
-	// Workers is the system's worker-pool bound. Snapshots from releases
-	// without the field decode as 0, which Load treats as the default
-	// (one worker per CPU).
+	// Workers is the requested worker-pool bound (WithParallelism), 0
+	// for the default of one worker per CPU, which Load resolves on the
+	// loading host. Snapshots from releases without the field decode as
+	// 0 too.
 	Workers int
 	// Epoch is the forest's membership epoch at snapshot time. The tree
 	// wire format does not carry the counter, so it rides here and Load
@@ -64,7 +65,7 @@ func (s *System) Save(w io.Writer) error {
 		Classes: s.classes,
 		BW:      s.bw,
 		Forest:  s.forest,
-		Workers: s.workers,
+		Workers: s.parallelism,
 		Epoch:   s.forest.Epoch(),
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
@@ -141,7 +142,7 @@ func Load(r io.Reader) (*System, error) {
 		return nil, fmt.Errorf("bwcluster: load system: %w", err)
 	}
 	return &System{
-		c: snap.C, nCut: snap.NCut, workers: workers, bw: snap.BW,
+		c: snap.C, nCut: snap.NCut, workers: workers, parallelism: snap.Workers, bw: snap.BW,
 		forest: snap.Forest, pred: pred, treeIdx: treeIdx, net: net,
 		ovCfg: ovCfg, classes: snap.Classes,
 	}, nil

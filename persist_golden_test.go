@@ -18,10 +18,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapsho
 // TestGoldenSystemSnapshot pins the full wireVersion-2 System snapshot
 // bit for bit, because snapshots are diffed and content-addressed by the
 // figure pipeline (DESIGN.md §8d) and replicated between serving shards.
-// The golden was last regenerated when systemWire gained the Epoch
-// field; any deliberate format change regenerates it with -update-golden
-// and must keep wireVersion-2 decode compatibility (new fields only,
-// with zero values meaning what old snapshots meant).
+// The golden was last regenerated when systemWire.Workers switched to
+// the requested parallelism (0 = default), so the bytes no longer depend
+// on the saving host's core count; any deliberate format change
+// regenerates it with -update-golden and must keep wireVersion-2 decode
+// compatibility (new fields only, with zero values meaning what old
+// snapshots meant).
 func TestGoldenSystemSnapshot(t *testing.T) {
 	path := filepath.Join("testdata", "golden_system_v2.gob")
 	raw := sampleBandwidth(t, 30, 11)

@@ -4,8 +4,31 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	goruntime "runtime"
 	"testing"
 )
+
+// TestSaveIndependentOfGOMAXPROCS: snapshots are content-addressed and
+// pinned by goldens, so the same system built and saved under different
+// core counts must encode to identical bytes.
+func TestSaveIndependentOfGOMAXPROCS(t *testing.T) {
+	raw := sampleBandwidth(t, 30, 11)
+	save := func(procs int) []byte {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		sys, err := New(raw, WithSeed(3), WithNCut(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := sys.SaveBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if !bytes.Equal(save(1), save(4)) {
+		t.Fatal("snapshot bytes depend on GOMAXPROCS")
+	}
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	raw := sampleBandwidth(t, 30, 11)

@@ -137,12 +137,11 @@ func WithSeed(seed int64) Option {
 }
 
 // WithParallelism bounds the worker pool the system uses for forest
-// construction, index precomputation and centralized query scans. The
-// default (without this option) is one worker per CPU; n = 1 forces fully
-// sequential execution. Parallelism never changes results: construction
-// splits the seeded random stream before fanning out, and query scans
-// preserve the sequential scan order's answer (see DESIGN.md,
-// "Parallel execution model").
+// construction and index precomputation. The default (without this
+// option) is one worker per CPU; n = 1 forces fully sequential
+// execution. Parallelism never changes results: construction splits the
+// seeded random stream before fanning out, and sharded builds write
+// disjoint rows (see DESIGN.md, "Parallel execution model").
 func WithParallelism(n int) Option {
 	return func(o *options) error {
 		if n < 1 {
@@ -160,9 +159,10 @@ func WithParallelism(n int) Option {
 // query method — Query, FindCluster, PredictBandwidth, MeasuredBandwidth,
 // MaxClusterSize, TightestCluster, FindNodeForSet, QueryNode, Neighbors,
 // RoutingTable, DistanceLabel, Stats — only reads the built state; the
-// one piece of mutable state, the centralized query cache, is guarded by
-// a read-write mutex inside the cluster index. This guarantee is
-// exercised by TestSystemConcurrentUse under the race detector.
+// one piece of mutable state, the cluster index's per-k answer tables,
+// is built under a mutex and published atomically inside the index. This
+// guarantee is exercised by TestSystemConcurrentUse under the race
+// detector.
 type System struct {
 	c       float64
 	nCut    int
@@ -357,18 +357,17 @@ func (s *System) checkHost(h int) error {
 
 // FindCluster runs the centralized Algorithm 1 over the predicted
 // bandwidths: it returns k hosts predicted to share at least minBandwidth
-// Mbps pairwise, or nil if the system concludes none exist. The candidate
-// scan is sharded across the system's worker pool (see WithParallelism)
-// and repeated (k, minBandwidth) queries are answered from a memoized
-// cache; both are invisible in the results, which always match the
-// sequential scan's answer. Safe for concurrent use.
+// Mbps pairwise, or nil if the system concludes none exist. The answer
+// comes from the index built at construction: a binary search over a
+// per-k table built on first use, always matching the sequential scan's
+// answer. Safe for concurrent use.
 func (s *System) FindCluster(k int, minBandwidth float64) ([]int, error) {
 	t0 := time.Now()
 	l, err := metric.DistanceForBandwidthConstraint(minBandwidth, s.c)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
-	members, err := s.treeIdx.FindParallel(k, l, s.workers)
+	members, err := s.treeIdx.Find(k, l)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}

@@ -1,6 +1,7 @@
 package bwcluster
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -137,6 +138,21 @@ func TestBasicUsage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A NaN bandwidth is not a constraint: both query paths must reject it
+// instead of answering with an empty cluster.
+func TestNaNBandwidthRejected(t *testing.T) {
+	sys, err := New(sampleBandwidth(t, 12, 3), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if members, err := sys.FindCluster(3, math.NaN()); err == nil {
+		t.Errorf("FindCluster(b=NaN) = %v, want error", members)
+	}
+	if res, err := sys.Query(0, 3, math.NaN()); err == nil {
+		t.Errorf("Query(b=NaN) = %+v, want error", res)
 	}
 }
 

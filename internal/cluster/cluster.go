@@ -20,8 +20,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bwcluster/internal/metric"
 )
@@ -43,7 +45,7 @@ func FindCluster(s metric.Space, k int, l float64) ([]int, error) {
 			// Size the candidate set without materializing it: the scan
 			// visits O(n^2) pairs and allocates only for the one answer.
 			if countMembers(s, p, q) >= k {
-				return Members(s, p, q)[:k], nil
+				return firstMembers(s, p, q, k), nil
 			}
 		}
 	}
@@ -54,7 +56,7 @@ func validate(s metric.Space, k int, l float64) error {
 	if k < 2 {
 		return fmt.Errorf("cluster: size constraint k must be >= 2, got %d", k)
 	}
-	if l < 0 {
+	if l < 0 || math.IsNaN(l) {
 		return fmt.Errorf("cluster: diameter constraint l must be >= 0, got %v", l)
 	}
 	if s == nil {
@@ -65,10 +67,14 @@ func validate(s metric.Space, k int, l float64) error {
 
 // Members returns S*pq: every node within d(p,q) of both p and q, in
 // ascending index order. p and q are always members.
-func Members(s metric.Space, p, q int) []int {
+func Members(s metric.Space, p, q int) []int { return firstMembers(s, p, q, s.N()) }
+
+// firstMembers returns the first k members of S*pq (all of them when
+// |S*pq| <= k), stopping the scan at the k-th.
+func firstMembers(s metric.Space, p, q, k int) []int {
 	dpq := s.Dist(p, q)
-	members := make([]int, 0, 8)
-	for x := 0; x < s.N(); x++ {
+	members := make([]int, 0, k)
+	for x, n := 0, s.N(); x < n && len(members) < k; x++ {
 		if s.Dist(x, p) <= dpq && s.Dist(x, q) <= dpq {
 			members = append(members, x)
 		}
@@ -77,8 +83,8 @@ func Members(s metric.Space, p, q int) []int {
 }
 
 // countMembers returns |S*pq| without materializing the member slice —
-// the allocation-free form every O(n^3) scan uses, reserving Members for
-// the single qualifying pair that answers a query.
+// the allocation-free form every O(n^3) scan uses, reserving firstMembers
+// for the single qualifying pair that answers a query.
 func countMembers(s metric.Space, p, q int) int {
 	dpq := s.Dist(p, q)
 	count := 0
@@ -113,7 +119,7 @@ func MaxClusterSize(s metric.Space, l float64) (int, []int) {
 	if best == 0 {
 		return 1, []int{0}
 	}
-	return best, Members(s, bp, bq)
+	return best, firstMembers(s, bp, bq, best)
 }
 
 // MaxClusterSizeBinary computes the same maximum via binary search over k
@@ -164,7 +170,7 @@ func MinDiameter(s metric.Space, k int) ([]int, float64, error) {
 	}
 	for _, pr := range sortedPairs(s) {
 		if countMembers(s, int(pr.p), int(pr.q)) >= k {
-			return Members(s, int(pr.p), int(pr.q))[:k], pr.d, nil
+			return firstMembers(s, int(pr.p), int(pr.q), k), pr.d, nil
 		}
 	}
 	return nil, 0, nil
@@ -255,12 +261,12 @@ func sortedPairs(s metric.Space) []pair {
 }
 
 // Index precomputes, for one metric space, every |S*pq|, so that queries
-// with arbitrary (k, l) run in O(n^2) after an O(n^3) build. Index.Find
-// returns exactly what FindCluster would.
+// with arbitrary (k, l) are answered by a binary search after an O(n^3)
+// build. Index.Find returns exactly what FindCluster would.
 //
 // An Index is safe for concurrent use: the precomputed tables are never
-// written after construction, and the (k, l) query cache is guarded by a
-// read-write mutex.
+// written after construction, and each per-k staircase is built once
+// under a mutex and then read without locking.
 type Index struct {
 	space     metric.Space
 	n         int
@@ -268,23 +274,20 @@ type Index struct {
 	pairs     []pair  // sorted ascending by distance, for MaxSize
 	prefixMax []int32 // prefixMax[i] = max |S*pq| over pairs[0..i]
 
-	// Memoized (k, l) -> members answers; repeated queries — the serving
-	// pattern, where clients retry the same few (k, b) combinations — are
-	// O(1) after the first evaluation. Negative answers are cached too.
-	mu    sync.RWMutex
-	cache map[queryKey][]int // guarded by mu
+	// stairs[k] lists, in lexicographic (p, q) order, each pair with
+	// |S*pq| >= k whose distance is strictly below that of every such
+	// pair before it. Distances therefore strictly decrease, and the
+	// answer to (k, l) is the first entry with d <= l. A table is built
+	// on the first query for its k; at most n-1 ever exist.
+	buildMu sync.Mutex
+	stairs  []atomic.Pointer[[]pair] // guarded by buildMu for stores; loads are lock-free
 
 	// epoch tags the membership generation the indexed space was derived
-	// at (predtree.Forest.Epoch). The index memoizes over a fixed host
+	// at (predtree.Forest.Epoch). The index answers over a fixed host
 	// set, so once membership moves, its answers describe hosts that may
 	// no longer exist: FindAt rejects queries carrying a different epoch
 	// instead of answering them silently wrong.
 	epoch uint64
-}
-
-type queryKey struct {
-	k int
-	l float64
 }
 
 func errNilSpace() error { return fmt.Errorf("cluster: nil space") }
@@ -334,40 +337,8 @@ func finishIndex(s metric.Space, n int, lexSizes []int32) *Index {
 	}
 	return &Index{
 		space: s, n: n, lexSizes: lexSizes, pairs: pairs,
-		prefixMax: prefixMax, cache: make(map[queryKey][]int),
+		prefixMax: prefixMax, stairs: make([]atomic.Pointer[[]pair], n+1),
 	}
-}
-
-// cached returns a copy of the memoized answer for (k, l) if present.
-// Copies keep callers from aliasing (and possibly mutating) each other's
-// result slices.
-func (ix *Index) cached(k int, l float64) ([]int, bool) {
-	ix.mu.RLock()
-	members, ok := ix.cache[queryKey{k: k, l: l}]
-	ix.mu.RUnlock()
-	if !ok {
-		mCacheMisses.Inc()
-		return nil, false
-	}
-	mCacheHits.Inc()
-	if members == nil {
-		return nil, true
-	}
-	out := make([]int, len(members))
-	copy(out, members)
-	return out, true
-}
-
-// store memoizes the answer for (k, l), keeping a private copy.
-func (ix *Index) store(k int, l float64, members []int) {
-	var cp []int
-	if members != nil {
-		cp = make([]int, len(members))
-		copy(cp, members)
-	}
-	ix.mu.Lock()
-	ix.cache[queryKey{k: k, l: l}] = cp
-	ix.mu.Unlock()
 }
 
 // N reports the number of nodes in the indexed space.
@@ -392,22 +363,50 @@ func (ix *Index) MaxSize(l float64) int {
 }
 
 // Find answers a (k, l) query, returning the same cluster FindCluster
-// would compute directly, or nil when none exists. Answers are memoized;
-// repeated queries hit the cache.
+// would compute directly, or nil when none exists. A feasible query
+// binary-searches the staircase for k and allocates only its answer.
 func (ix *Index) Find(k int, l float64) ([]int, error) {
 	if err := validate(ix.space, k, l); err != nil {
 		return nil, err
 	}
-	if members, ok := ix.cached(k, l); ok {
-		return members, nil
-	}
-	var members []int
 	last := ix.lastWithin(l)
-	if last >= 0 && int(ix.prefixMax[last]) >= k {
-		members = ix.scanFrom(0, k, l)
+	if last < 0 || int(ix.prefixMax[last]) < k {
+		return nil, nil
 	}
-	ix.store(k, l, members)
-	return members, nil
+	// Some pair within l has |S*pq| >= k, so the lexicographically first
+	// one is on the staircase and the search stops inside it.
+	st := ix.staircase(k)
+	pr := st[sort.Search(len(st), func(i int) bool { return st[i].d <= l })]
+	return firstMembers(ix.space, int(pr.p), int(pr.q), k), nil
+}
+
+// staircase returns the table for k (2 <= k <= n), building it in one
+// O(n^2) pass over lexSizes on first use.
+func (ix *Index) staircase(k int) []pair {
+	if st := ix.stairs[k].Load(); st != nil {
+		mCacheHits.Inc()
+		return *st
+	}
+	ix.buildMu.Lock()
+	defer ix.buildMu.Unlock()
+	if st := ix.stairs[k].Load(); st != nil { // built while we waited
+		mCacheHits.Inc()
+		return *st
+	}
+	mCacheMisses.Inc()
+	var st []pair
+	for p := 0; p < ix.n; p++ {
+		for q := p + 1; q < ix.n; q++ {
+			if int(ix.lexSizes[p*ix.n+q]) < k {
+				continue
+			}
+			if d := ix.space.Dist(p, q); len(st) == 0 || d < st[len(st)-1].d {
+				st = append(st, pair{d: d, p: int32(p), q: int32(q)})
+			}
+		}
+	}
+	ix.stairs[k].Store(&st)
+	return st
 }
 
 // Epoch reports the membership epoch the index was built at (zero for
@@ -425,18 +424,4 @@ func (ix *Index) FindAt(epoch uint64, k int, l float64) ([]int, error) {
 			ix.epoch, epoch, ErrStaleIndex)
 	}
 	return ix.Find(k, l)
-}
-
-// scanFrom runs the lexicographic candidate scan starting at row p0 and
-// returns the first qualifying cluster, or nil.
-func (ix *Index) scanFrom(p0, k int, l float64) []int {
-	for p := p0; p < ix.n; p++ {
-		mScanRows.Inc()
-		for q := p + 1; q < ix.n; q++ {
-			if int(ix.lexSizes[p*ix.n+q]) >= k && ix.space.Dist(p, q) <= l {
-				return Members(ix.space, p, q)[:k]
-			}
-		}
-	}
-	return nil
 }

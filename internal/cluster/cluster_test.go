@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bwcluster/internal/metric"
@@ -25,6 +28,16 @@ func TestFindClusterValidation(t *testing.T) {
 	}
 	if _, err := FindCluster(m, 2, -1); err == nil {
 		t.Error("l<0 should fail")
+	}
+	if _, err := FindCluster(m, 2, math.NaN()); err == nil {
+		t.Error("l=NaN should fail")
+	}
+	ix, err := NewIndex(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ix.Find(2, math.NaN()); err == nil {
+		t.Errorf("Index.Find(l=NaN) = %v, want error", c)
 	}
 	if _, err := FindCluster(nil, 2, 1); err == nil {
 		t.Error("nil space should fail")
@@ -277,6 +290,47 @@ func TestIndexMatchesFindCluster(t *testing.T) {
 				t.Fatalf("MaxSize(l=%v): indexed=%d direct=%d", l, im, dm)
 			}
 		}
+	}
+}
+
+// TestIndexFindAtEveryBreakpoint compares Index.Find with the direct
+// scan for every k at every l where an answer can change: each pair
+// distance, the largest value below it, 0 and +Inf. Tree-like spaces and
+// one non-tree space (where S*pq can be wider than d(p,q)) are covered.
+func TestIndexFindAtEveryBreakpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	spaces := map[string]*metric.Matrix{
+		"non-tree n=24": randomSpace(24, 31),
+	}
+	for i, n := range []int{6, 12, 18, 24} {
+		spaces[fmt.Sprintf("tree %d n=%d", i, n)] = testutil.NoisyTreeMetric(n, 0.1*float64(i), rng)
+	}
+	for name, m := range spaces {
+		t.Run(name, func(t *testing.T) {
+			ix, err := NewIndex(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls := []float64{0, math.Inf(1)}
+			for _, d := range m.Values() {
+				ls = append(ls, d, math.Nextafter(d, math.Inf(-1)))
+			}
+			for k := 2; k <= m.N(); k++ {
+				for _, l := range ls {
+					direct, err := FindCluster(m, k, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					indexed, err := ix.Find(k, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(direct, indexed) {
+						t.Fatalf("k=%d l=%v: direct %v, indexed %v", k, l, direct, indexed)
+					}
+				}
+			}
+		})
 	}
 }
 

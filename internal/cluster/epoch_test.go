@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The index memoizes over a fixed host set. After a membership change
+// The index answers over a fixed host set. After a membership change
 // (join/leave/fail) the forest's epoch moves, and a query against an
 // index built at the old epoch must be REJECTED, not answered from
 // tables describing hosts that no longer exist.
@@ -34,7 +34,7 @@ func TestFindAtRejectsStaleIndex(t *testing.T) {
 	}
 
 	// Stale epoch (membership moved on): rejected with ErrStaleIndex,
-	// even though the memoized answer is sitting in the cache.
+	// even though the table for k = 3 is already built.
 	members, err := ix.FindAt(8, 3, 2)
 	if err == nil {
 		t.Fatalf("FindAt(stale epoch) answered %v, want error", members)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,10 +10,11 @@ import (
 
 // FuzzFindClusterRepresentations builds every representation of the
 // Algorithm 1 scan from the same fuzzed metric space — the direct
-// sequential scan, the flat precomputed Index, and both work-stealing
-// parallel variants — and asserts they give identical answers. This is
-// the equivalence backstop for the flat-memory refactor (DESIGN.md §8g):
-// the determinism contract says the FIRST qualifying pair in
+// sequential scan, the precomputed Index (built sequentially and with
+// work stealing) and its per-k staircase — and asserts they give
+// identical answers. Each case queries one index at a pair distance and
+// just below it, so the second query reuses the table the first built.
+// The determinism contract says the FIRST qualifying pair in
 // lexicographic order answers, so the answers must match element for
 // element, not just set-wise.
 func FuzzFindClusterRepresentations(f *testing.F) {
@@ -31,10 +33,6 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 		vals := m.Values()
 		l := vals[int(lPick)%len(vals)]
 
-		direct, err := FindCluster(m, k, l)
-		if err != nil {
-			t.Fatalf("FindCluster: %v", err)
-		}
 		ix, err := NewIndex(m)
 		if err != nil {
 			t.Fatalf("NewIndex: %v", err)
@@ -43,26 +41,32 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewIndexParallel: %v", err)
 		}
-		check := func(name string, got []int, err error) {
-			t.Helper()
+		// At a pair distance and just below it, where the answer may move
+		// to a later pair; the second query reuses the first one's table.
+		for _, lq := range []float64{l, math.Nextafter(l, math.Inf(-1))} {
+			direct, err := FindCluster(m, k, lq)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("FindCluster: %v", err)
 			}
-			if (direct == nil) != (got == nil) || len(direct) != len(got) {
-				t.Fatalf("%s answer %v, direct scan answered %v", name, got, direct)
-			}
-			for i := range direct {
-				if direct[i] != got[i] {
-					t.Fatalf("%s answer %v, direct scan answered %v", name, got, direct)
+			check := func(name string, got []int, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if (direct == nil) != (got == nil) || len(direct) != len(got) {
+					t.Fatalf("%s answer %v at l=%v, direct scan answered %v", name, got, lq, direct)
+				}
+				for i := range direct {
+					if direct[i] != got[i] {
+						t.Fatalf("%s answer %v at l=%v, direct scan answered %v", name, got, lq, direct)
+					}
 				}
 			}
+			indexed, err := ix.Find(k, lq)
+			check("Index.Find", indexed, err)
+			ixp, err := ixPar.Find(k, lq)
+			check("Index.Find (parallel-built index)", ixp, err)
 		}
-		indexed, err := ix.Find(k, l)
-		check("Index.Find", indexed, err)
-		par, err := FindClusterParallel(m, k, l, 3)
-		check("FindClusterParallel", par, err)
-		ixp, err := ixPar.FindParallel(k, l, 3)
-		check("Index.FindParallel (parallel-built index)", ixp, err)
 
 		// The sized-pair tables of both index builds must agree too.
 		if ix.MaxSize(l) != ixPar.MaxSize(l) {

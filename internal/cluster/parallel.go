@@ -1,16 +1,11 @@
-// Parallel execution layer for Algorithm 1. The per-pair work of the
-// candidate scan — computing |S*pq| — is independent across pairs, so the
-// scan shards cleanly across a worker pool (the same observation that
-// makes distributed metric facility location "super-fast": per-candidate
-// evaluations share no state). The only coupling is the paper's
-// determinism contract: FindCluster answers with the FIRST qualifying
-// pair in lexicographic (p, q) order, so a parallel scan cannot simply
-// return whichever shard wins the race. Workers therefore claim rows p in
-// ascending order from an atomic counter and publish hits through an
-// atomic minimum row; a worker aborts as soon as a strictly smaller row
-// has already hit, which cancels the tail of the scan early (the role a
-// context/sync.Once pair would play, but with the ordering guarantee the
-// sequential algorithm makes).
+// Parallel execution layer for Algorithm 1's exhaustive passes. Sizing
+// |S*pq| is independent across pairs, so the O(n^3) index build and the
+// MaxClusterSize scan shard cleanly across a worker pool (the same
+// observation that makes distributed metric facility location
+// "super-fast": per-candidate evaluations share no state). Workers claim
+// row ranges from an atomic counter and write disjoint outputs, so the
+// result never depends on the schedule. (k, l) queries are not sharded:
+// Index.Find answers them by binary search.
 package cluster
 
 import (
@@ -70,70 +65,6 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// scanRowsParallel evaluates scan(p) for every row p in [0, n) across the
-// given number of workers and returns the result of the LOWEST row that
-// produced one (nil if none did) — exactly what a sequential ascending
-// scan would return. scan must be safe for concurrent calls and should
-// poll abort() in its inner loop: abort reports that a strictly smaller
-// row already hit, making the current row's outcome irrelevant.
-func scanRowsParallel(n, workers int, scan func(p int, abort func() bool) []int) []int {
-	chunk := int64(chunkRows(n, workers))
-	var next atomic.Int64
-	var best atomic.Int64
-	best.Store(int64(n))
-	results := make([][]int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := next.Add(chunk) - chunk
-				if lo >= int64(n) {
-					return
-				}
-				hi := lo + chunk
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				if lo > best.Load() {
-					mScanAborts.Inc()
-					return
-				}
-				for p := int(lo); p < int(hi); p++ {
-					abort := func() bool { return best.Load() < int64(p) }
-					if abort() {
-						mScanAborts.Inc()
-						return
-					}
-					mScanRows.Inc()
-					out := scan(p, abort)
-					if out == nil && abort() {
-						mScanAborts.Inc()
-					}
-					if out != nil {
-						results[p] = out
-						for {
-							cur := best.Load()
-							if int64(p) >= cur || best.CompareAndSwap(cur, int64(p)) {
-								break
-							}
-						}
-						// Any row this worker could still claim is larger
-						// than p, hence can never win.
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b := int(best.Load()); b < n {
-		return results[b]
-	}
-	return nil
-}
-
 // forRowsParallel runs fn(p) for every row p in [0, n) across workers,
 // with no early exit (for work that must cover all rows, like index
 // builds). Workers claim chunkRows-sized row ranges from an atomic
@@ -170,37 +101,6 @@ func forRowsParallel(n, workers int, fn func(p int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// FindClusterParallel computes exactly what FindCluster computes — the
-// first qualifying pair in lexicographic order answers — sharding the
-// O(n^3) candidate scan across a worker pool. workers < 1 uses one worker
-// per CPU. s must be safe for concurrent Dist calls (metric.Matrix is).
-// Small spaces fall back to the sequential scan.
-func FindClusterParallel(s metric.Space, k int, l float64, workers int) ([]int, error) {
-	if err := validate(s, k, l); err != nil {
-		return nil, err
-	}
-	n := s.N()
-	workers = Workers(workers, n)
-	if workers == 1 || n < minParallelN {
-		return FindCluster(s, k, l)
-	}
-	res := scanRowsParallel(n, workers, func(p int, abort func() bool) []int {
-		for q := p + 1; q < n; q++ {
-			if abort() {
-				return nil
-			}
-			if s.Dist(p, q) > l {
-				continue
-			}
-			if countMembers(s, p, q) >= k {
-				return Members(s, p, q)[:k]
-			}
-		}
-		return nil
-	})
-	return res, nil
 }
 
 // MaxClusterSizeParallel computes MaxClusterSize with the pair scan
@@ -243,7 +143,7 @@ func MaxClusterSizeParallel(s metric.Space, l float64, workers int) (int, []int)
 	if best.size == 0 {
 		return 1, []int{0}
 	}
-	return int(best.size), Members(s, bp, int(best.q))
+	return int(best.size), firstMembers(s, bp, int(best.q), int(best.size))
 }
 
 // NewIndexParallel builds the same index NewIndex builds, sharding the
@@ -278,39 +178,6 @@ func NewIndexParallelAt(s metric.Space, workers int, epoch uint64) (*Index, erro
 	return ix, nil
 }
 
-// FindParallel answers a (k, l) query like Find, sharding the candidate
-// scan over the precomputed |S*pq| table across workers. Results are
-// memoized in the index's query cache, so repeated queries (the serving
-// pattern) cost one lock acquisition.
-func (ix *Index) FindParallel(k int, l float64, workers int) ([]int, error) {
-	if err := validate(ix.space, k, l); err != nil {
-		return nil, err
-	}
-	if members, ok := ix.cached(k, l); ok {
-		return members, nil
-	}
-	last := ix.lastWithin(l)
-	if last < 0 || int(ix.prefixMax[last]) < k {
-		ix.store(k, l, nil)
-		return nil, nil
-	}
-	workers = Workers(workers, ix.n)
-	var members []int
-	if workers == 1 || ix.n < minParallelN {
-		members = ix.scanFrom(0, k, l)
-	} else {
-		members = scanRowsParallel(ix.n, workers, func(p int, abort func() bool) []int {
-			for q := p + 1; q < ix.n; q++ {
-				if abort() {
-					return nil
-				}
-				if int(ix.lexSizes[p*ix.n+q]) >= k && ix.space.Dist(p, q) <= l {
-					return Members(ix.space, p, q)[:k]
-				}
-			}
-			return nil
-		})
-	}
-	ix.store(k, l, members)
-	return members, nil
-}
+// FindParallel is Find; workers is ignored. A staircase lookup has no
+// scan left to shard.
+func (ix *Index) FindParallel(k int, l float64, workers int) ([]int, error) { return ix.Find(k, l) }

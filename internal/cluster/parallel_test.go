@@ -28,52 +28,6 @@ func randomSpace(n int, seed int64) *metric.Matrix {
 	return m
 }
 
-// TestFindClusterParallelMatchesSequential checks the determinism
-// contract: the parallel scan answers with exactly the cluster the
-// sequential lexicographic scan answers with, across sizes spanning the
-// sequential-fallback threshold and several worker counts.
-func TestFindClusterParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{8, 40, 96, 130} {
-		s := randomSpace(n, int64(n))
-		for _, k := range []int{2, 3, n / 4, n / 2, n} {
-			if k < 2 {
-				continue
-			}
-			for _, l := range []float64{0.5, 1.5, 2.5, 11, 100} {
-				want, err := FindCluster(s, k, l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 2, 3, 8, 0} {
-					got, err := FindClusterParallel(s, k, l, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("n=%d k=%d l=%v workers=%d: parallel %v, sequential %v",
-							n, k, l, workers, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFindClusterParallelValidation mirrors the sequential argument
-// checks.
-func TestFindClusterParallelValidation(t *testing.T) {
-	s := randomSpace(10, 1)
-	if _, err := FindClusterParallel(s, 1, 1, 4); err == nil {
-		t.Error("k=1 should fail")
-	}
-	if _, err := FindClusterParallel(s, 2, -1, 4); err == nil {
-		t.Error("negative l should fail")
-	}
-	if _, err := FindClusterParallel(nil, 2, 1, 4); err == nil {
-		t.Error("nil space should fail")
-	}
-}
-
 // TestMaxClusterSizeParallelMatchesSequential checks the exhaustive
 // variant agrees with the sequential scan (same size; the witness must be
 // a real cluster of that size within l).
@@ -136,20 +90,21 @@ func TestNewIndexParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := par.FindParallel(k, l, 5)
+				b, err := par.Find(k, l)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("n=%d k=%d l=%v: Find %v, FindParallel %v", n, k, l, a, b)
+					t.Fatalf("n=%d k=%d l=%v: sequential-built %v, parallel-built %v", n, k, l, a, b)
 				}
 			}
 		}
 	}
 }
 
-// TestIndexCache checks memoization semantics: hits return equal answers,
-// and mutating a returned slice does not poison later answers.
+// TestIndexCache checks that answers from a built table equal the first
+// answer, and that mutating a returned slice does not poison later
+// answers.
 func TestIndexCache(t *testing.T) {
 	s := randomSpace(60, 5)
 	ix, err := NewIndex(s)
@@ -163,32 +118,45 @@ func TestIndexCache(t *testing.T) {
 	if first == nil {
 		t.Fatal("expected a cluster at (4, 2.5) in the grouped space")
 	}
-	// Corrupt the caller's copy; the cache must be unaffected.
+	// Corrupt the caller's copy; later answers must be unaffected.
 	first[0] = -99
 	second, err := ix.Find(4, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second[0] == -99 {
-		t.Fatal("cache aliased a caller's slice")
+		t.Fatal("index aliased a caller's slice")
 	}
 	direct, err := FindCluster(s, 4, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(second, direct) {
-		t.Fatalf("cached answer %v, direct %v", second, direct)
+		t.Fatalf("repeated answer %v, direct %v", second, direct)
 	}
-	// Negative answers are cached too and stay nil.
+	// Impossible queries stay nil.
 	miss, err := ix.Find(s.N()+1, 0.1)
 	if err == nil && miss != nil {
 		t.Fatalf("impossible query returned %v", miss)
 	}
 }
 
-// TestIndexConcurrentQueries hammers one index from many goroutines with
-// overlapping (k, l) queries; run under -race this exercises the cache
-// locking, and every answer must match the sequential reference.
+// builtTables counts the per-k staircases ix has built so far.
+func builtTables(ix *Index) int {
+	built := 0
+	for k := range ix.stairs {
+		if ix.stairs[k].Load() != nil {
+			built++
+		}
+	}
+	return built
+}
+
+// TestIndexConcurrentQueries hammers one index from many goroutines.
+// All of them first race on a k whose table is not yet built, at
+// different l, then on overlapping (k, l) queries; run under -race this
+// exercises the build mutex and the lock-free table reads, and every
+// answer must match the sequential reference.
 func TestIndexConcurrentQueries(t *testing.T) {
 	s := randomSpace(90, 11)
 	ix, err := NewIndexParallel(s, 0)
@@ -199,30 +167,37 @@ func TestIndexConcurrentQueries(t *testing.T) {
 		k int
 		l float64
 	}
+	const coldK = 7
+	var cold []query
+	for _, l := range []float64{1.1, 1.5, 2.0, 2.6, 11, 12.5} {
+		cold = append(cold, query{coldK, l})
+	}
 	queries := []query{{2, 1.4}, {5, 2.2}, {9, 2.8}, {20, 11}, {45, 12}, {3, 0.9}}
 	want := make(map[query][]int)
-	for _, qu := range queries {
+	for _, qu := range append(cold, queries...) {
 		w, err := FindCluster(s, qu.k, qu.l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[qu] = w
 	}
+	if builtTables(ix) != 0 {
+		t.Fatal("a fresh index must not have built any table")
+	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	errCh := make(chan error, 1)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < 30; i++ {
 				qu := queries[(g+i)%len(queries)]
-				var got []int
-				var err error
-				if i%2 == 0 {
-					got, err = ix.Find(qu.k, qu.l)
-				} else {
-					got, err = ix.FindParallel(qu.k, qu.l, 3)
+				if i == 0 {
+					qu = cold[g%len(cold)]
 				}
+				got, err := ix.Find(qu.k, qu.l)
 				if err != nil {
 					select {
 					case errCh <- err:
@@ -240,11 +215,54 @@ func TestIndexConcurrentQueries(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	select {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+	// One table per k with an answer: infeasible queries build none.
+	ks := map[int]bool{}
+	for qu, w := range want {
+		if w != nil {
+			ks[qu.k] = true
+		}
+	}
+	if got := builtTables(ix); got != len(ks) || !ks[coldK] {
+		t.Fatalf("%d tables built, want one per answered k (%d, including k = %d)", got, len(ks), coldK)
+	}
+}
+
+// TestIndexFindBounded checks the cost of an answer: a repeated Find
+// allocates only the returned slice, and 100k distinct l values leave at
+// most n-1 tables behind, whatever the query mix.
+func TestIndexFindBounded(t *testing.T) {
+	s := randomSpace(50, 3)
+	ix, err := NewIndex(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := ix.Find(6, 2.5); err != nil || c == nil {
+		t.Fatalf("warm-up query: cluster %v, err %v", c, err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := ix.Find(6, 2.5); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 1 {
+		t.Fatalf("repeated Find allocates %v times, want 1", a)
+	}
+	rng := rand.New(rand.NewSource(9))
+	n := s.N()
+	for i := 0; i < 100_000; i++ {
+		k := 2 + rng.Intn(n+2) // includes k > n, which never builds
+		if _, err := ix.Find(k, rng.Float64()*12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := builtTables(ix); got > n-1 {
+		t.Fatalf("%d tables built for n = %d, bound is n-1", got, n)
 	}
 }
 
@@ -261,35 +279,6 @@ type mismatchError struct {
 
 func (e *mismatchError) Error() string {
 	return "concurrent query mismatch"
-}
-
-// BenchmarkFindClusterParallel compares the sequential candidate scan
-// with the sharded one on a 256-node space where the qualifying pair sits
-// deep in the scan (a tight constraint met only inside one group), the
-// regime where Algorithm 1's O(n^3) cost bites.
-func BenchmarkFindClusterParallel(b *testing.B) {
-	const n = 256
-	s := randomSpace(n, 42)
-	// A constraint satisfiable only by a near-complete group: forces the
-	// scan to size many candidate pairs before answering.
-	k, l := n/8, 1.9
-	if c, err := FindCluster(s, k, l); err != nil || c == nil {
-		b.Fatalf("benchmark query must succeed (cluster=%v err=%v)", c, err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := FindCluster(s, k, l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := FindClusterParallel(s, k, l, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkIndexBuildParallel compares sequential and sharded index

@@ -166,7 +166,7 @@ func BandwidthFromDistance(d *Matrix, c float64) (*Matrix, error) {
 // DistanceForBandwidthConstraint converts a minimum-bandwidth query
 // constraint b into the equivalent maximum-diameter constraint l = C/b.
 func DistanceForBandwidthConstraint(b, c float64) (float64, error) {
-	if b <= 0 || c <= 0 {
+	if !(b > 0) || !(c > 0) { // negated so NaN fails too
 		return 0, fmt.Errorf("metric: constraint transform needs b>0, c>0 (b=%v c=%v)", b, c)
 	}
 	return c / b, nil

@@ -187,6 +187,9 @@ func TestDistanceForBandwidthConstraint(t *testing.T) {
 	if _, err := DistanceForBandwidthConstraint(10, -1); err == nil {
 		t.Error("c<0 should fail")
 	}
+	if l, err := DistanceForBandwidthConstraint(math.NaN(), 100); err == nil {
+		t.Errorf("b=NaN should fail, got l=%v", l)
+	}
 }
 
 // Property: the rational transform round-trips for random positive

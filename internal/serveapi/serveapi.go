@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -158,15 +159,16 @@ func IntParam(r *http.Request, name string) (int, error) {
 	return v, nil
 }
 
-// FloatParam parses a required float query parameter.
+// FloatParam parses a required finite float query parameter; NaN and
+// ±Inf are rejected like any other non-number.
 func FloatParam(r *http.Request, name string) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return 0, errors.New("missing required parameter " + name)
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, errors.New("parameter " + name + " must be a number")
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, errors.New("parameter " + name + " must be a finite number")
 	}
 	return v, nil
 }

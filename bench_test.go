@@ -263,7 +263,8 @@ func BenchmarkOverlayConverge(b *testing.B) {
 }
 
 // BenchmarkDecentralQuery measures one routed query on a converged
-// network.
+// network, from every host in turn and from the hub: the host with the
+// largest clustering space, whose local search scans the most pairs.
 func BenchmarkDecentralQuery(b *testing.B) {
 	d := benchDistance(b, 190)
 	classes, err := overlay.ClassesFromBandwidths([]float64{15, 25, 35, 45, 55, 65, 75}, metric.DefaultC)
@@ -283,12 +284,30 @@ func BenchmarkDecentralQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	hosts := nw.Hosts()
-	l := metric.DefaultC / 35
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nw.Query(hosts[i%len(hosts)], 10, l); err != nil {
+	hub, hubSpace := hosts[0], 0
+	for _, h := range hosts {
+		if space, err := nw.ClusteringSpace(h); err != nil {
 			b.Fatal(err)
+		} else if len(space) > hubSpace {
+			hub, hubSpace = h, len(space)
 		}
+	}
+	l := metric.DefaultC / 35
+	for _, c := range []struct {
+		name  string
+		start func(i int) int
+	}{
+		{"start=all", func(i int) int { return hosts[i%len(hosts)] }},
+		{"start=hub", func(int) int { return hub }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := nw.Query(c.start(i), 10, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

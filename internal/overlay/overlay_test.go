@@ -195,7 +195,7 @@ func TestTheorem33CRT(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					size, _ := cluster.MaxClusterSize(nw.dist.submatrix(hosts), l)
+					size, _ := cluster.MaxClusterSize(materialize(nw.dist, hosts), l)
 					if size > want {
 						want = size
 					}
@@ -281,10 +281,15 @@ func TestUnlimitedNCutMatchesCentralized(t *testing.T) {
 func predictedSpace(t *testing.T, nw *Network) (*metric.Matrix, []int) {
 	t.Helper()
 	hosts := nw.Hosts()
-	m := metric.FromFunc(len(hosts), func(i, j int) float64 {
-		return nw.dist.Between(hosts[i], hosts[j])
+	return materialize(nw.dist, hosts), hosts
+}
+
+// materialize copies the predicted distances over hosts into a matrix
+// whose row i is hosts[i], independently of the view local searches read.
+func materialize(d *Dist, hosts []int) *metric.Matrix {
+	return metric.FromFunc(len(hosts), func(i, j int) float64 {
+		return d.Between(hosts[i], hosts[j])
 	})
-	return m, hosts
 }
 
 // Decentralized responsiveness never exceeds centralized: if the

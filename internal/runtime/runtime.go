@@ -467,8 +467,8 @@ func (p *peer) refreshSelfCRTLocked(d *overlay.Dist) {
 		return
 	}
 	p.dirty = false
-	// NewIndex cannot fail on a clustering space, which always holds the
-	// peer itself; a failure would leave the self CRT as it was.
+	// This fails only while the space names a host a departure removed
+	// from the snapshot; the repair then resets the core and marks it dirty.
 	if changed, _ := p.core.RecomputeSelfCRT(d, p.rt.cfg.Classes); changed {
 		p.rt.version.Add(1)
 		// Gossip-triggered work, visible in the black box: the peer's

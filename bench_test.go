@@ -10,6 +10,7 @@ package bwcluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -122,6 +123,25 @@ func BenchmarkClusterIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.NewIndex(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNew measures building a System with default options from a
+// 512-host HP-like bandwidth matrix: the metric transforms and default
+// classes, the prediction forest and its distance matrix, the cluster
+// index, and the overlay converged.
+func BenchmarkNew(b *testing.B) {
+	bw := benchBandwidth(b, 512)
+	raw := make([][]float64, bw.N())
+	for i := range raw {
+		raw[i] = slices.Clone(bw.Row(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,6 +28,7 @@ package bwcluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -61,8 +62,8 @@ type Option func(*options) error
 // constants yield the same clusters; C only scales internal distances.
 func WithConstant(c float64) Option {
 	return func(o *options) error {
-		if c <= 0 {
-			return fmt.Errorf("bwcluster: constant must be positive, got %v", c)
+		if !(c > 0) || math.IsInf(c, 1) { // negated so NaN fails too
+			return fmt.Errorf("bwcluster: constant must be positive and finite, got %v", c)
 		}
 		o.c = c
 		return nil
@@ -91,8 +92,8 @@ func WithBandwidthClasses(mbps []float64) Option {
 			return fmt.Errorf("bwcluster: at least one bandwidth class is required")
 		}
 		for _, b := range mbps {
-			if b <= 0 {
-				return fmt.Errorf("bwcluster: bandwidth class %v must be positive", b)
+			if !(b > 0) || math.IsInf(b, 1) { // negated so NaN fails too
+				return fmt.Errorf("bwcluster: bandwidth class %v must be positive and finite", b)
 			}
 		}
 		o.classes = append([]float64(nil), mbps...)
@@ -201,9 +202,9 @@ func (r QueryResult) Found() bool { return len(r.Members) > 0 }
 // New builds a System from an n-by-n bandwidth matrix in Mbps. The matrix
 // may be asymmetric (forward/reverse measurements are averaged, as in the
 // paper); diagonal entries are ignored; every off-diagonal entry must be
-// positive. Construction simulates hosts joining the decentralized
-// prediction framework one by one and then runs the gossip protocol to
-// convergence.
+// positive and finite. Construction simulates hosts joining the
+// decentralized prediction framework one by one and then runs the gossip
+// protocol to convergence.
 func New(bandwidth [][]float64, opts ...Option) (*System, error) {
 	o := options{c: DefaultC, nCut: overlay.DefaultNCut, trees: 3, seed: 1}
 	for _, opt := range opts {

@@ -63,6 +63,50 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinite checks that one NaN or infinite measurement,
+// constant or class is an error naming what is wrong, with the default
+// classes and with explicit ones: a NaN entry must not depend on the
+// default classes' percentiles to be caught.
+func TestNewRejectsNonFinite(t *testing.T) {
+	explicit := WithBandwidthClasses([]float64{20, 40, 80})
+	tests := []struct {
+		name  string
+		entry float64 // written at raw[3][5]; 0 keeps the sample's value
+		opt   Option
+		want  string
+	}{
+		{"NaN entry, default classes", math.NaN(), nil, "bandwidth(3,5)=NaN"},
+		{"NaN entry, explicit classes", math.NaN(), explicit, "bandwidth(3,5)=NaN"},
+		{"+Inf entry, default classes", math.Inf(1), nil, "bandwidth(3,5)=+Inf"},
+		{"+Inf entry, explicit classes", math.Inf(1), explicit, "bandwidth(3,5)=+Inf"},
+		{"-Inf entry, explicit classes", math.Inf(-1), explicit, "bandwidth(3,5)=-Inf"},
+		{"NaN constant", 0, WithConstant(math.NaN()), "constant"},
+		{"+Inf constant", 0, WithConstant(math.Inf(1)), "constant"},
+		{"NaN class", 0, WithBandwidthClasses([]float64{20, math.NaN()}), "class NaN"},
+		{"+Inf class", 0, WithBandwidthClasses([]float64{math.Inf(1)}), "class +Inf"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			raw := sampleBandwidth(t, 12, 3)
+			if tt.entry != 0 {
+				raw[3][5] = tt.entry
+			}
+			var opts []Option
+			if tt.opt != nil {
+				opts = append(opts, tt.opt)
+			}
+			sys, err := New(raw, opts...)
+			if err == nil {
+				bw, _ := sys.PredictBandwidth(3, 5)
+				t.Fatalf("New succeeded (PredictBandwidth(3,5) = %v), want an error containing %q", bw, tt.want)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not contain %q", err, tt.want)
+			}
+		})
+	}
+}
+
 func TestBasicUsage(t *testing.T) {
 	raw := sampleBandwidth(t, 40, 1)
 	sys, err := New(raw, WithSeed(7))

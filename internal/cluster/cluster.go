@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,8 +73,19 @@ func Members(s metric.Space, p, q int) []int { return firstMembers(s, p, q, s.N(
 // firstMembers returns the first k members of S*pq (all of them when
 // |S*pq| <= k), stopping the scan at the k-th.
 func firstMembers(s metric.Space, p, q, k int) []int {
-	dpq := s.Dist(p, q)
 	members := make([]int, 0, k)
+	if m, ok := s.(*metric.Matrix); ok {
+		rp, rq := m.Row(p), m.Row(q)
+		rq = rq[:len(rp)]
+		dpq := rp[q]
+		for x := 0; x < len(rp) && len(members) < k; x++ {
+			if max(rp[x], rq[x]) <= dpq {
+				members = append(members, x)
+			}
+		}
+		return members
+	}
+	dpq := s.Dist(p, q)
 	for x, n := 0, s.N(); x < n && len(members) < k; x++ {
 		if s.Dist(x, p) <= dpq && s.Dist(x, q) <= dpq {
 			members = append(members, x)
@@ -82,12 +94,26 @@ func firstMembers(s metric.Space, p, q, k int) []int {
 	return members
 }
 
-// countMembers returns |S*pq| without materializing the member slice —
-// the allocation-free form every O(n^3) scan uses, reserving firstMembers
-// for the single qualifying pair that answers a query.
+// countMembers returns |S*pq| without materializing the member slice:
+// the allocation-free form every O(n^3) scan uses, reserving
+// firstMembers for the single pair that answers a query. Over a
+// *metric.Matrix it reads rows p and q as slices (row x of a symmetric
+// matrix is also its column) and counts without a data-dependent branch;
+// any other space goes through Dist.
 func countMembers(s metric.Space, p, q int) int {
-	dpq := s.Dist(p, q)
 	count := 0
+	if m, ok := s.(*metric.Matrix); ok {
+		rp, rq := m.Row(p), m.Row(q)
+		rq = rq[:len(rp)]
+		dpq := rp[q]
+		for x, a := range rp {
+			if max(a, rq[x]) <= dpq { // false for NaN, as below
+				count++
+			}
+		}
+		return count
+	}
+	dpq := s.Dist(p, q)
 	for x, n := 0, s.N(); x < n; x++ {
 		if s.Dist(x, p) <= dpq && s.Dist(x, q) <= dpq {
 			count++
@@ -239,6 +265,8 @@ type pair struct {
 	p, q int32
 }
 
+// sortedPairs returns every pair p < q ordered by (distance, p, q). The
+// key is unique per pair, so any correct sort gives the same order.
 func sortedPairs(s metric.Space) []pair {
 	n := s.N()
 	pairs := make([]pair, 0, n*(n-1)/2)
@@ -247,15 +275,17 @@ func sortedPairs(s metric.Space) []pair {
 			pairs = append(pairs, pair{p: int32(p), q: int32(q), d: s.Dist(p, q)})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.d != b.d {
-			return a.d < b.d
+	slices.SortFunc(pairs, func(a, b pair) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case a.d > b.d:
+			return 1
+		case a.p != b.p:
+			return int(a.p - b.p)
+		default:
+			return int(a.q - b.q)
 		}
-		if a.p != b.p {
-			return a.p < b.p
-		}
-		return a.q < b.q
 	})
 	return pairs
 }

@@ -60,6 +60,11 @@ func (m *Matrix) N() int { return m.n }
 // Dist returns the entry (i, j). It implements Space.
 func (m *Matrix) Dist(i, j int) float64 { return m.data[i*m.n+j] }
 
+// Row returns row i as a read-only slice aliasing the matrix: Row(i)[j]
+// is Dist(i, j), and since the matrix is symmetric it is also column i.
+// Callers must not write to it.
+func (m *Matrix) Row(i int) []float64 { return m.data[i*m.n : (i+1)*m.n : (i+1)*m.n] }
+
 // At is an alias for Dist, reading better when the matrix holds bandwidth.
 func (m *Matrix) At(i, j int) float64 { return m.Dist(i, j) }
 
@@ -135,23 +140,29 @@ func Symmetrize(asym [][]float64) (*Matrix, error) {
 }
 
 // DistanceFromBandwidth applies the rational transform d = C/BW entrywise.
-// Bandwidth entries must be strictly positive.
+// C, every bandwidth entry and every resulting distance must be positive
+// and finite: a NaN entry would fail every comparison downstream, and
+// +Inf would become distance 0.
 func DistanceFromBandwidth(bw *Matrix, c float64) (*Matrix, error) {
-	if c <= 0 {
-		return nil, fmt.Errorf("metric: rational-transform constant must be positive, got %v", c)
+	if !positiveFinite(c) {
+		return nil, fmt.Errorf("metric: rational-transform constant must be positive and finite, got %v", c)
 	}
 	d := NewMatrix(bw.n)
 	for i := 0; i < bw.n; i++ {
+		row := bw.Row(i)
 		for j := i + 1; j < bw.n; j++ {
-			b := bw.Dist(i, j)
-			if b <= 0 {
-				return nil, fmt.Errorf("metric: bandwidth(%d,%d)=%v is not positive", i, j, b)
+			b := row[j]
+			if !positiveFinite(b) || !positiveFinite(c/b) {
+				return nil, fmt.Errorf("metric: bandwidth(%d,%d)=%v does not give a positive finite distance C/BW (C=%v)", i, j, b, c)
 			}
 			d.Set(i, j, c/b)
 		}
 	}
 	return d, nil
 }
+
+// positiveFinite reports whether v is in (0, +Inf); NaN is not.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // BandwidthFromDistance inverts the rational transform, BW = C/d.
 func BandwidthFromDistance(d *Matrix, c float64) (*Matrix, error) {

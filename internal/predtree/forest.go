@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -238,32 +238,36 @@ func (f *Forest) PredictBandwidth(u, v int) float64 {
 // DistMatrix materializes the median predicted distances for all hosts,
 // indexed like the returned host slice (the primary tree's join order).
 func (f *Forest) DistMatrix() (*metric.Matrix, []int) {
-	hosts := f.Hosts()
-	pos := make(map[int]int, len(hosts))
-	for i, h := range hosts {
-		pos[h] = i
+	if len(f.trees) == 1 {
+		return f.trees[0].DistMatrix()
 	}
+	hosts := f.Hosts()
+	// rows[ti][i] is the row of hosts[i] in tree ti's matrix, which is
+	// indexed by that tree's own join order.
 	mats := make([]*metric.Matrix, len(f.trees))
+	rows := make([][]int32, len(f.trees))
+	at := make([]int32, f.trees[0].hostCap()) // host id -> row, per tree
 	for ti, t := range f.trees {
 		dm, th := t.DistMatrix()
-		// Re-index into the primary host order.
-		m := metric.NewMatrix(len(hosts))
-		for i := range th {
-			for j := i + 1; j < len(th); j++ {
-				m.Set(pos[th[i]], pos[th[j]], dm.Dist(i, j))
-			}
+		for r, h := range th {
+			at[h] = int32(r)
 		}
-		mats[ti] = m
-	}
-	if len(mats) == 1 {
-		return mats[0], hosts
+		rows[ti] = make([]int32, len(hosts))
+		for i, h := range hosts {
+			rows[ti][i] = at[h]
+		}
+		mats[ti] = dm
 	}
 	out := metric.NewMatrix(len(hosts))
 	ds := make([]float64, len(mats))
+	rowI := make([][]float64, len(mats)) // row of hosts[i] in each tree
 	for i := range hosts {
+		for ti, m := range mats {
+			rowI[ti] = m.Row(int(rows[ti][i]))
+		}
 		for j := i + 1; j < len(hosts); j++ {
-			for ti := range mats {
-				ds[ti] = mats[ti].Dist(i, j)
+			for ti, r := range rowI {
+				ds[ti] = r[rows[ti][j]]
 			}
 			out.Set(i, j, median(ds))
 		}
@@ -306,13 +310,12 @@ func ForestLabelDist(a, b []Label) (float64, error) {
 }
 
 // median returns the median of xs (averaging the middle pair for even
-// lengths); xs is not modified.
+// lengths), sorting xs in place: callers pass a scratch slice.
 func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
+	slices.Sort(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
 	}
-	return (cp[mid-1] + cp[mid]) / 2
+	return (xs[mid-1] + xs[mid]) / 2
 }

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -79,28 +81,86 @@ func Max(xs []float64) (float64, error) {
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. The input is not modified.
+// interpolation between closest ranks: what sorting xs and interpolating
+// gives (a zero result may differ in sign, as equal zeros may sort either
+// way), found by selection on a copy in O(n) expected time. The input is
+// not modified. A NaN sample is an error, since it has no rank.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 100 {
+	if !(p >= 0 && p <= 100) { // negated so NaN fails too
 		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
+	buf := make([]float64, len(xs))
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			return 0, fmt.Errorf("stats: percentile of a sample with NaN at index %d", i)
+		}
+		buf[i] = x
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(len(buf)-1)
 	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
+	vlo := selectKth(buf, lo)
+	if float64(lo) == rank {
+		return vlo, nil
 	}
+	// Everything after position lo is now no smaller than vlo, so the
+	// next order statistic is the least of it.
+	vhi := slices.Min(buf[lo+1:])
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return vlo*(1-frac) + vhi*frac, nil
+}
+
+// selectKth reorders a so that a[k] holds the value sorting a would put
+// there, with nothing larger before it and nothing smaller after it, and
+// returns a[k]. It is quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal values cost O(n); a window that
+// has not converged after 2·log2(n) rounds is sorted instead, which
+// bounds the worst case at O(n log n).
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a) // a[k] lies in a[lo:hi]
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 12 && rounds > 0; rounds-- {
+		w := a[lo:hi]
+		pivot := median3(w[0], w[len(w)/2], w[len(w)-1])
+		// Three-way partition: w[:lt] < pivot, w[lt:gt] == pivot,
+		// w[gt:] > pivot.
+		lt, i, gt := 0, 0, len(w)
+		for i < gt {
+			switch v := w[i]; {
+			case v < pivot:
+				w[lt], w[i] = v, w[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				w[i], w[gt] = w[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lo+lt:
+			hi = lo + lt
+		case k >= lo+gt:
+			lo += gt
+		default:
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
+}
+
+// median3 returns the median of three values.
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // CDFPoint is a single point of an empirical CDF: the fraction F of samples

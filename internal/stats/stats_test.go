@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,157 @@ func TestPercentile(t *testing.T) {
 			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
+}
+
+// percentileBySort is Percentile's reference definition: sort a copy,
+// then interpolate linearly between the two closest ranks.
+func percentileBySort(xs []float64, p float64) float64 {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	rank := p / 100 * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// sameFloat reports whether a and b are the same float64 bit for bit,
+// except that a zero matches a zero of either sign: the reference sort is
+// not stable, so which of two equal zeros lands at a rank is an accident
+// of its swaps, not part of the definition.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+func TestPercentileMatchesSortDefinition(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	rng := rand.New(rand.NewSource(5))
+	dups := make([]float64, 1000)
+	for i := range dups {
+		dups[i] = float64(rng.Intn(4))
+	}
+	wide := make([]float64, 5000)
+	for i := range wide {
+		wide[i] = rng.NormFloat64() * 1e3
+	}
+	ascending := make([]float64, 300)
+	for i := range ascending {
+		ascending[i] = float64(i)
+	}
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
+	organ := append(slices.Clone(ascending), descending...)
+	tests := []struct {
+		name string
+		in   []float64
+	}{
+		{"n=1", []float64{7}},
+		{"n=2", []float64{9, -2}},
+		{"n=2 equal", []float64{3, 3}},
+		{"signed zeros", []float64{negZero, 0, negZero, 1, 0, -1}},
+		{"all negative zero", []float64{negZero, negZero, negZero}},
+		{"infinities", []float64{inf, -inf, 3, inf, -2}},
+		{"many duplicates", dups},
+		{"wide random", wide},
+		{"ascending", ascending},
+		{"descending", descending},
+		{"organ pipe", organ},
+	}
+	ps := []float64{0, 0.1, 10, 12.5, 25, 33.3, 50, 66.7, 75, 80, 99, 99.99, 100}
+	for _, tt := range tests {
+		for _, p := range ps {
+			got, err := Percentile(tt.in, p)
+			if err != nil {
+				t.Fatalf("%s: Percentile(%v): %v", tt.name, p, err)
+			}
+			if want := percentileBySort(tt.in, p); !sameFloat(got, want) {
+				t.Errorf("%s: Percentile(%v) = %v (%#x), sort definition gives %v (%#x)",
+					tt.name, p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+func TestSelectKthEveryRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	in := make([]float64, 200)
+	for i := range in {
+		in[i] = float64(rng.Intn(50))
+	}
+	sorted := slices.Clone(in)
+	slices.Sort(sorted)
+	for k := range in {
+		a := slices.Clone(in)
+		if got := selectKth(a, k); got != sorted[k] {
+			t.Fatalf("selectKth(k=%d) = %v, want %v", k, got, sorted[k])
+		}
+		for i, v := range a {
+			if (i < k && v > a[k]) || (i > k && v < a[k]) {
+				t.Fatalf("k=%d: a[%d]=%v is on the wrong side of a[k]=%v", k, i, v, a[k])
+			}
+		}
+	}
+}
+
+func TestPercentileRejectsNaN(t *testing.T) {
+	if v, err := Percentile([]float64{1, math.NaN(), 3}, 50); err == nil {
+		t.Errorf("NaN sample: got %v, want an error", v)
+	}
+	if v, err := Percentile([]float64{1, 2, 3}, math.NaN()); err == nil {
+		t.Errorf("NaN percentile: got %v, want an error", v)
+	}
+}
+
+// FuzzPercentile compares Percentile with the sort-then-interpolate
+// definition, bit for bit (up to the sign of a zero, see sameFloat).
+// Each input byte picks one sample from a small alphabet — signed zeros,
+// infinities and a few dozen integers and fractions — so duplicates are
+// the rule, and rep repeats the pattern to reach sizes where selection
+// partitions instead of sorting.
+func FuzzPercentile(f *testing.F) {
+	f.Add([]byte{1}, uint16(5000), uint8(0))
+	f.Add([]byte{0, 1}, uint16(0), uint8(0))
+	f.Add([]byte{3, 200, 17, 17, 0, 1, 2, 90}, uint16(10000), uint8(7))
+	f.Add([]byte("percentile selection"), uint16(3333), uint8(40))
+	f.Fuzz(func(t *testing.T, data []byte, pRaw uint16, rep uint8) {
+		if len(data) == 0 {
+			return
+		}
+		xs := make([]float64, 0, len(data)*(1+int(rep)))
+		for r := 0; r <= int(rep); r++ {
+			for i, b := range data {
+				var v float64
+				switch b % 16 {
+				case 0:
+					v = math.Copysign(0, -1)
+				case 1:
+					v = 0
+				case 2:
+					v = math.Inf(1)
+				case 3:
+					v = math.Inf(-1)
+				default:
+					v = float64(int8(b)) / 4
+				}
+				if r%2 == 1 && i%3 == 0 { // vary the repeats' order
+					v = -v
+				}
+				xs = append(xs, v)
+			}
+		}
+		p := float64(pRaw%10001) / 100
+		got, err := Percentile(xs, p)
+		if err != nil {
+			t.Fatalf("Percentile(%v) over %d samples: %v", p, len(xs), err)
+		}
+		if want := percentileBySort(xs, p); !sameFloat(got, want) {
+			t.Fatalf("Percentile(%v) over %d samples = %v (%#x), sort definition gives %v (%#x)",
+				p, len(xs), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 func TestPercentileOutOfRange(t *testing.T) {
@@ -369,6 +521,24 @@ func TestSortStability(t *testing.T) {
 		b, _ := Percentile(shuffled, p)
 		if a != b {
 			t.Errorf("percentile %v differs: %v vs %v", p, a, b)
+		}
+	}
+}
+
+// BenchmarkPercentile measures one percentile over 130,816 samples — the
+// pair count of a 512-host matrix, the sample a System's default
+// bandwidth classes are read from — cycling p over 10..80 as they do.
+func BenchmarkPercentile(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 512*511/2)
+	for i := range xs {
+		xs[i] = 1 + rng.ExpFloat64()*50
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Percentile(xs, float64(10+10*(i%8))); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

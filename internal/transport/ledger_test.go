@@ -139,11 +139,14 @@ func TestTCPLedgerBothSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvOne(t, recv2, 5*time.Second)
+	// Both sides record asynchronously: the sender's writeLoop after the
+	// write, the receiver after delivering to the inbox.
 	deadline := time.After(5 * time.Second)
-	for la.TotalMessages() < 1 { // writeLoop records asynchronously
+	for la.TotalMessages() < 1 || lb.TotalMessages() < 1 {
 		select {
 		case <-deadline:
-			t.Fatalf("sender ledger never recorded the frame")
+			t.Fatalf("ledgers never recorded the frame: sender %d, receiver %d messages",
+				la.TotalMessages(), lb.TotalMessages())
 		case <-time.After(time.Millisecond):
 		}
 	}

@@ -98,8 +98,11 @@ func Load(r io.Reader) (*System, error) {
 	if snap.BW == nil || snap.Forest == nil {
 		return nil, fmt.Errorf("bwcluster: load system: incomplete snapshot")
 	}
-	if snap.C <= 0 || snap.NCut < 1 || len(snap.Classes) == 0 {
-		return nil, fmt.Errorf("bwcluster: load system: invalid parameters")
+	// The snapshot's knobs pass the checks New applies to its options.
+	for _, opt := range []Option{WithConstant(snap.C), WithNCut(snap.NCut), WithBandwidthClasses(snap.Classes)} {
+		if err := opt(&options{}); err != nil {
+			return nil, fmt.Errorf("bwcluster: load system: invalid parameters: %w", err)
+		}
 	}
 	workers := cluster.Workers(snap.Workers, 0)
 	snap.Forest.SetEpoch(snap.Epoch)

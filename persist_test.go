@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	goruntime "runtime"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +129,48 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := LoadBytes(blob[:len(blob)/2]); err == nil {
 		t.Error("truncated snapshot should fail")
+	}
+}
+
+// TestLoadRejectsNonFiniteParameters: a snapshot whose constant or
+// classes are NaN or infinite fails to load, as New fails on those
+// options.
+func TestLoadRejectsNonFiniteParameters(t *testing.T) {
+	sys, err := New(sampleBandwidth(t, 10, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sys.SaveBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name  string
+		edit  func(*systemWire)
+		wantS string
+	}{
+		{"NaN constant", func(w *systemWire) { w.C = math.NaN() }, "constant"},
+		{"+Inf constant", func(w *systemWire) { w.C = math.Inf(1) }, "constant"},
+		{"NaN class", func(w *systemWire) { w.Classes[0] = math.NaN() }, "class NaN"},
+		{"+Inf class", func(w *systemWire) { w.Classes[0] = math.Inf(1) }, "class +Inf"},
+		{"no classes", func(w *systemWire) { w.Classes = nil }, "bandwidth class"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var w systemWire
+			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
+				t.Fatal(err)
+			}
+			tt.edit(&w)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadBytes(buf.Bytes())
+			if err == nil || !strings.Contains(err.Error(), tt.wantS) {
+				t.Errorf("Load: error %v, want one containing %q", err, tt.wantS)
+			}
+		})
 	}
 }
 

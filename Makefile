@@ -7,7 +7,7 @@ GO ?= go
 # 0 = one worker per CPU; 1 = sequential. Never changes results.
 PARALLEL ?= 0
 
-.PHONY: all build fmt lint test race bench bench-smoke bench-json bench-matrix bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check ablations clean
+.PHONY: all build fmt lint test race bench bench-smoke bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check ablations clean
 
 all: build test
 
@@ -53,39 +53,20 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Machine-readable benchmark report (one iteration per bench so it is
-# cheap enough for CI; use BENCHTIME=1s locally for stable numbers).
-# Writes BENCH_raw.json: BENCH_results.json is the committed benchmark
-# matrix baseline and is only regenerated by `make bench-matrix`.
-BENCHTIME ?= 1x
-bench-json:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem ./... | $(GO) run ./cmd/bwc-benchjson > BENCH_raw.json
-
-# Multi-iteration, multi-GOMAXPROCS benchmark matrix over the paired
-# sequential/parallel hot paths and the tracing on/off query pair:
-# MATRIX_COUNT samples per (benchmark, GOMAXPROCS) cell, aggregated into
-# mean/stddev cells and a speedup-vs-GOMAXPROCS curve (DESIGN.md §8g).
-# MATRIX_OUT defaults to the committed baseline path; CI writes a fresh
-# file instead and gates it against the committed one.
-MATRIX_COUNT ?= 10
-MATRIX_CPUS  ?= 1,2,4,8
-MATRIX_BENCHTIME ?= 50ms
-MATRIX_OUT   ?= BENCH_results.json
-MATRIX_PATTERN = 'IndexBuildParallel|BuildForestParallel|QueryTracing|QueryLedger|IncrementalRemoveAdd|FleetQueryCache'
-MATRIX_PKGS = ./internal/cluster ./internal/predtree ./internal/runtime ./internal/fleet
-bench-matrix:
-	$(GO) test -run '^$$' -bench $(MATRIX_PATTERN) -benchmem \
-		-count $(MATRIX_COUNT) -cpu $(MATRIX_CPUS) -benchtime $(MATRIX_BENCHTIME) \
-		-timeout 30m $(MATRIX_PKGS) | $(GO) run ./cmd/bwc-benchjson -matrix > $(MATRIX_OUT)
-
-# Performance gate: regenerate the matrix into a scratch file and check
-# the repo's invariants — parallel never slower than sequential beyond
-# noise (mean + 2·stddev, 5% floor) at the host's hardware concurrency,
-# tracing-off never slower than tracing-on — warning (not failing) when
-# a cell regressed >20% against the committed BENCH_results.json.
+# Performance gate (DESIGN.md §8g): the paired benchmarks as a
+# 10-sample, multi-GOMAXPROCS matrix, checked by bwc-benchgate on the raw
+# `go test -bench` text — parallel builds not slower than sequential
+# beyond noise at the host's hardware concurrency, tracing-off not slower
+# than tracing-on, incremental repair >= 10x cheaper than a rebuild, the
+# cached fleet query >= 5x cheaper than the proxied one, ledger-on within
+# 3% of ledger-off. The gate fails closed on a missing pair or a failed
+# benchmark, so the pipe needs no pipefail; the raw text is kept in
+# bench-matrix.txt for benchstat.
 bench-gate:
-	$(MAKE) bench-matrix MATRIX_OUT=BENCH_results.fresh.json
-	$(GO) run ./cmd/bwc-benchjson -gate BENCH_results.fresh.json -baseline BENCH_results.json
+	$(GO) test -run '^$$' -benchmem -count 10 -cpu 1,2,4,8 -benchtime 50ms -timeout 30m \
+		-bench 'IndexBuildParallel|BuildForestParallel|QueryTracing|QueryLedger|IncrementalRemoveAdd|FleetQueryCache' \
+		./internal/cluster ./internal/predtree ./internal/runtime ./internal/fleet 2>&1 | \
+		tee bench-matrix.txt | $(GO) run ./cmd/bwc-benchgate
 
 # Fault-matrix gate: convergence under seeded drop/partition schedules
 # and the TCP loopback split, under the race detector. `make race`
@@ -96,15 +77,15 @@ fault-matrix:
 
 # Serving-tier soak: the zipf workload generator drives the sharded
 # fleet — 3 shard processes behind the router, one replica killed
-# halfway through — and merges the p50/p99/shed/hit summary into
-# BENCH_results.json under the "soak" key (DESIGN.md §8j). The smoke
-# variant is CI-sized (well under a minute) and writes the per-second
-# series for artifact upload; the full target is the paper-scale run.
+# halfway through — and prints the p50/p99/shed/hit summary (DESIGN.md
+# §8j). The smoke variant is CI-sized (well under a minute) and writes
+# the per-second series for artifact upload; the full target is the
+# paper-scale run.
 SOAK_QUERIES ?= 1000000
 SOAK_HOSTS ?= 64
 soak: build | results
 	$(GO) run ./cmd/bwc-fleet -mode soak -queries $(SOAK_QUERIES) -hosts $(SOAK_HOSTS) \
-		-shards 3 -series results/soak_series.txt -merge BENCH_results.json
+		-shards 3 -series results/soak_series.txt
 
 soak-smoke: build | results
 	$(GO) run ./cmd/bwc-fleet -mode soak -queries 20000 -hosts 32 \

@@ -34,7 +34,7 @@ type soakCounters struct {
 	fallbacks atomic.Int64 // X-Fleet-Fallback set (decentral answered centrally)
 }
 
-// soakSummary is the JSON shape merged into BENCH_results.json.
+// soakSummary is the end-of-run summary the soak prints as JSON.
 type soakSummary struct {
 	Queries   int64   `json:"queries"`
 	Shards    int     `json:"shards"`
@@ -79,7 +79,6 @@ func runSoak(args []string) error {
 	tick := fs.Duration("tick", 0, "shard async runtime gossip period (0: default)")
 	killAt := fs.Float64("kill-at", 0.5, "kill one replica after this fraction of the workload (0: never)")
 	series := fs.String("series", "", "write a time-series of throughput/latency/shed/hit samples to this file")
-	merge := fs.String("merge", "", "merge the soak summary into this benchmark-report JSON file under the \"soak\" key")
 	rate := fs.Float64("rate", 0, "per-tenant admission rate (0: unlimited sized to the workload)")
 	startupTimeout := fs.Duration("startup-timeout", 3*time.Minute, "deadline for every shard to report ready")
 	if err := fs.Parse(args); err != nil {
@@ -421,13 +420,6 @@ func runSoak(args []string) error {
 	out, _ := json.MarshalIndent(sum, "", "  ")
 	fmt.Printf("soak summary:\n%s\n", out)
 
-	if *merge != "" {
-		if err := mergeSoak(*merge, sum); err != nil {
-			return err
-		}
-		fmt.Printf("merged soak summary into %s\n", *merge)
-	}
-
 	// The soak's own gate: the fleet must have served the workload, and
 	// a killed replica must not have produced a 5xx burst beyond the
 	// in-flight drain (the router fails over within a request, so the
@@ -508,23 +500,4 @@ func checkFleetBandwidth(httpc *http.Client, routerURL string, shards int, kille
 	fmt.Printf("fleet bandwidth rollup: %d/%d shards covered, %d bytes / %d messages accounted, gaps %v\n",
 		body.ShardsCovered, shards, body.Aggregate.TotalBytes, body.Aggregate.TotalMessages, body.Gaps)
 	return nil
-}
-
-// mergeSoak writes the summary into the benchmark report JSON under the
-// top-level "soak" key, preserving every other field. A missing or
-// empty file gets a fresh object, so the smoke soak works in a clean
-// checkout.
-func mergeSoak(path string, sum soakSummary) error {
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil && len(raw) > 0 {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	doc["soak"] = sum
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

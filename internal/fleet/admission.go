@@ -48,12 +48,27 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 // Time is passed in, not read: decisions are a pure function of
 // (state, now), so tests drive the limiter with a synthetic clock and
 // the router passes time.Now().
+//
+// A bucket that has refilled to Burst is in the same state as a fresh
+// one, so the limiter drops such buckets instead of keeping one per
+// tenant ever seen: a client cycling X-Tenant values cannot grow router
+// memory without limit. Whenever a new tenant would grow the map past
+// twice the buckets that survived the last sweep (and past minSweep),
+// every full bucket is dropped — amortized O(1) per Admit, and the live
+// buckets stay on the order of the distinct tenants seen in the last
+// (Burst+Queue)/Rate seconds (Burst/Rate with no queue), the longest an
+// admitted bucket takes to refill. With a non-decreasing clock, every
+// decision is the one a never-evicting limiter would make.
 type Limiter struct {
 	cfg AdmissionConfig
 
 	mu      sync.Mutex
 	buckets map[string]*bucket // guarded by mu
+	sweepAt int                // guarded by mu; map size that triggers the next sweep
 }
+
+// minSweep is the bucket count below which the limiter never sweeps.
+const minSweep = 64
 
 // bucket is one tenant's token state. tokens may go negative: each unit
 // below zero is one queued reservation awaiting a future token.
@@ -65,7 +80,7 @@ type bucket struct {
 // NewLimiter builds a per-tenant limiter where every tenant gets the
 // same config. Tenant buckets are created on first use.
 func NewLimiter(cfg AdmissionConfig) *Limiter {
-	return &Limiter{cfg: cfg.withDefaults(), buckets: make(map[string]*bucket)}
+	return &Limiter{cfg: cfg.withDefaults(), buckets: make(map[string]*bucket), sweepAt: minSweep}
 }
 
 // Admit decides one request for tenant at time now. ok=false means
@@ -77,6 +92,9 @@ func (l *Limiter) Admit(tenant string, now time.Time) (wait time.Duration, ok bo
 	defer l.mu.Unlock()
 	b := l.buckets[tenant]
 	if b == nil {
+		if len(l.buckets) >= l.sweepAt {
+			l.sweepLocked(now)
+		}
 		b = &bucket{tokens: l.cfg.Burst, last: now}
 		l.buckets[tenant] = b
 	}
@@ -100,7 +118,20 @@ func (l *Limiter) Admit(tenant string, now time.Time) (wait time.Duration, ok bo
 	return time.Duration(-b.tokens / l.cfg.Rate * float64(time.Second)), true
 }
 
-// Tenants reports how many tenant buckets exist (observability).
+// sweepLocked drops every bucket that has refilled to Burst by now and sets
+// the next sweep at twice the survivors. Caller holds l.mu.
+func (l *Limiter) sweepLocked(now time.Time) {
+	for tenant, b := range l.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*l.cfg.Rate >= l.cfg.Burst {
+			delete(l.buckets, tenant)
+		}
+	}
+	l.sweepAt = max(2*len(l.buckets), minSweep)
+}
+
+// Tenants reports how many tenant buckets exist (observability): the
+// tenants whose buckets had not refilled at the last sweep, plus those
+// seen since.
 func (l *Limiter) Tenants() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -79,7 +79,7 @@ func benchServe(b *testing.B, rt *Router, url string) {
 // saves): "uncached" makes every request a distinct cache key (the
 // central engine ignores start, but the key includes it), so each one
 // pays admission + proxy + shard FindCluster; "cached" replays one hot
-// key. bwc-benchjson's gate invariant 4 requires the cached path to be
+// key. The bench gate (cmd/bwc-benchgate) requires the cached path to be
 // at least 5x cheaper — if it is not, the cache is pure overhead and
 // the zipf head of real traffic gains nothing.
 func BenchmarkFleetQueryCache(b *testing.B) {

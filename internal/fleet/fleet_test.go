@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -142,6 +144,64 @@ func TestLimiterBurstQueueShed(t *testing.T) {
 	}
 	if l.Tenants() != 2 {
 		t.Errorf("tenants = %d, want 2", l.Tenants())
+	}
+}
+
+// TestLimiterTenantsBounded: 100k distinct tenants, one request each
+// 1ms apart, with buckets that refill in 10ms. Live buckets must stay
+// near the ~10 tenants of the refill window, not grow with every
+// X-Tenant value ever sent.
+func TestLimiterTenantsBounded(t *testing.T) {
+	l := NewLimiter(AdmissionConfig{Rate: 100, Burst: 1})
+	now := time.Unix(1000, 0)
+	peak := 0
+	for i := 0; i < 100_000; i++ {
+		if wait, ok := l.Admit(fmt.Sprintf("tenant-%d", i), now); !ok || wait != 0 {
+			t.Fatalf("fresh tenant %d: wait=%v ok=%v", i, wait, ok)
+		}
+		peak = max(peak, l.Tenants())
+		now = now.Add(time.Millisecond)
+	}
+	if peak > 2*minSweep {
+		t.Errorf("peak tenants = %d, want <= %d", peak, 2*minSweep)
+	}
+}
+
+// TestLimiterEvictionKeepsDecisions: on a seeded workload over a
+// non-decreasing synthetic clock, the evicting limiter answers every
+// Admit exactly as one that never evicts.
+func TestLimiterEvictionKeepsDecisions(t *testing.T) {
+	for _, cfg := range []AdmissionConfig{
+		{Rate: 100, Burst: 1},
+		{Rate: 50, Burst: 3, Queue: 2},
+		{Rate: 1000, Burst: 0.5, Queue: 4},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		l := NewLimiter(cfg)
+		ref := NewLimiter(cfg)
+		ref.sweepAt = math.MaxInt // never sweeps
+		now := time.Unix(1000, 0)
+		for i := 0; i < 50_000; i++ {
+			// A hot head of tenants that queue and shed, and a long
+			// tail that churns the map through many sweeps.
+			tenant := fmt.Sprintf("hot-%d", rng.Intn(4))
+			if rng.Intn(2) == 0 {
+				tenant = fmt.Sprintf("tail-%d", rng.Intn(5000))
+			}
+			if rng.Intn(3) > 0 { // a third of requests share a timestamp
+				now = now.Add(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			}
+			w1, ok1 := l.Admit(tenant, now)
+			w2, ok2 := ref.Admit(tenant, now)
+			if w1 != w2 || ok1 != ok2 {
+				t.Fatalf("%+v request %d (%s): evicting (%v, %v) != never-evicting (%v, %v)",
+					cfg, i, tenant, w1, ok1, w2, ok2)
+			}
+		}
+		if l.Tenants() >= ref.Tenants() {
+			t.Errorf("%+v: evicting limiter holds %d tenants, never-evicting %d; nothing was swept",
+				cfg, l.Tenants(), ref.Tenants())
+		}
 	}
 }
 

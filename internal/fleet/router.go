@@ -435,7 +435,11 @@ func (rt *Router) readyEndpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 // fleetEndpoint reports the router's full operational state: per-shard
-// readiness and epochs, cache counters, and tenant population.
+// readiness and epochs, cache counters, and tenant population. tenants
+// counts live admission buckets, not every tenant ever seen: a bucket
+// that has refilled to its burst is dropped at the limiter's next sweep,
+// so the count is on the order of the distinct tenants of the last
+// (Burst+Queue)/Rate seconds (see Limiter).
 func (rt *Router) fleetEndpoint(w http.ResponseWriter, r *http.Request) {
 	shards := make([]map[string]any, len(rt.shards))
 	for i, s := range rt.shards {

@@ -470,7 +470,7 @@ func TestEpochCountsMembershipChanges(t *testing.T) {
 // evicting one host from a 256-host, 3-tree forest and re-inserting it
 // incrementally, against rebuilding the whole forest from scratch (what
 // a membership change cost before Remove existed). The bench gate
-// (cmd/bwc-benchjson) requires the incremental path to be at least 10x
+// (cmd/bwc-benchgate) requires the incremental path to be at least 10x
 // faster than the rebuild.
 func BenchmarkIncrementalRemoveAdd(b *testing.B) {
 	const n, count = 256, 3

@@ -30,7 +30,7 @@ func benchRuntime(b *testing.B) *Runtime {
 // runtime with no trace context attached — the per-query cost the
 // tracing layer adds when disabled is a nil span check at each hop and
 // two header bytes on each lean frame, and this benchmark against its
-// TracingOn sibling in BENCH_results.json is the evidence it stays
+// TracingOn sibling in `make bench-gate` is the evidence it stays
 // under the 5% budget.
 func BenchmarkQueryTracingOff(b *testing.B) {
 	rt := benchRuntime(b)
@@ -63,9 +63,9 @@ func BenchmarkQueryTracingOn(b *testing.B) {
 
 // BenchmarkQueryLedgerOff measures one routed query with no bandwidth
 // ledger attached — the disabled-path cost is a nil atomic load per
-// delivered frame. Against its LedgerOn sibling in BENCH_results.json
+// delivered frame. Against its LedgerOn sibling in `make bench-gate`
 // this is the evidence that per-link accounting stays within the 3%
-// budget (bwc-benchjson invariant 5).
+// budget (cmd/bwc-benchgate).
 func BenchmarkQueryLedgerOff(b *testing.B) {
 	rt := benchRuntime(b)
 	hosts := rt.Hosts()

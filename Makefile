@@ -1,13 +1,11 @@
 # Reproduction targets for the paper's evaluation. `make figures` writes
-# every data series into results/; expect a few minutes at full scale.
+# the 13 deterministic data series (Fig. 3-6, the five ablations and the
+# churn sweep) into results/; expect about a minute on 2 cores.
 # `make ci` runs the same gate as .github/workflows/ci.yml.
 
 GO ?= go
-# Worker count for the simulation fan-out (bwc-sim -parallel).
-# 0 = one worker per CPU; 1 = sequential. Never changes results.
-PARALLEL ?= 0
 
-.PHONY: all build fmt lint test race bench bench-smoke bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check ablations clean
+.PHONY: all build fmt lint test race bench bench-smoke bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check clean
 
 all: build test
 
@@ -83,87 +81,95 @@ fault-matrix:
 # paper-scale run.
 SOAK_QUERIES ?= 1000000
 SOAK_HOSTS ?= 64
-soak: build | results
+soak: build
 	$(GO) run ./cmd/bwc-fleet -mode soak -queries $(SOAK_QUERIES) -hosts $(SOAK_HOSTS) \
 		-shards 3 -series results/soak_series.txt
 
-soak-smoke: build | results
+soak-smoke: build
 	$(GO) run ./cmd/bwc-fleet -mode soak -queries 20000 -hosts 32 \
 		-shards 3 -series results/soak_series.txt
 
 # The full CI gate, in the workflow's order: lint (gofmt + bwc-vet)
 # first, then build+vet, tests, the race detector, the fuzz smoke, the
-# fault matrix, the churn soak + series, the serving-tier soak smoke,
+# fault matrix, the churn soak, the serving-tier soak smoke,
 # the figure byte-identity check, one iteration of every bench, and the
 # benchmark performance gate.
 ci: lint build test race fuzz-smoke fault-matrix churn soak-smoke figures-check bench-smoke bench-gate
 
-results:
-	mkdir -p results
-
-# Figure series go to FIGDIR. bwc-sim's stdout is a pure function of its
-# flags and seed (the wall-clock trailer goes to stderr), so the files
-# are byte-comparable across runs and hosts.
+# The deterministic series, each written to FIGDIR/<name>.txt by bwc-sim
+# with the flags SERIES_<name>: the seven Fig. 3-6 series, the five
+# ablations and the churn sweep. bwc-sim's stdout is a pure function of
+# its flags and seed (the wall-clock trailer goes to stderr, and the
+# fan-out over independent series never changes results), so the files
+# are byte-comparable across runs, hosts and GOMAXPROCS settings.
 FIGDIR ?= results
-FIGURES = fig3_hp fig3_umd fig4_hp fig4_umd fig5_hp fig5_umd fig6
+SERIES = fig3_hp fig3_umd fig4_hp fig4_umd fig5_hp fig5_umd fig6 \
+	ablation_ncut ablation_trees ablation_drift ablation_construction ablation_sword \
+	churn_series
+SERIES_fig3_hp = -fig 3 -dataset hp
+SERIES_fig3_umd = -fig 3 -dataset umd
+SERIES_fig4_hp = -fig 4 -dataset hp -scale 0.5
+SERIES_fig4_umd = -fig 4 -dataset umd -scale 0.3
+SERIES_fig5_hp = -fig 5 -dataset hp
+SERIES_fig5_umd = -fig 5 -dataset umd
+SERIES_fig6 = -fig 6 -scale 0.4
+SERIES_ablation_ncut = -ablation ncut -scale 0.3
+SERIES_ablation_trees = -ablation trees -scale 0.3
+SERIES_ablation_drift = -ablation drift
+SERIES_ablation_construction = -ablation construction
+SERIES_ablation_sword = -ablation sword
+SERIES_churn_series = -series churn
+define newline
+
+
+endef
 figures: build
 	mkdir -p $(FIGDIR)
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 3 -dataset hp  > $(FIGDIR)/fig3_hp.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 3 -dataset umd > $(FIGDIR)/fig3_umd.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 4 -dataset hp  -scale 0.5 > $(FIGDIR)/fig4_hp.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 4 -dataset umd -scale 0.3 > $(FIGDIR)/fig4_umd.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 5 -dataset hp  > $(FIGDIR)/fig5_hp.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 5 -dataset umd > $(FIGDIR)/fig5_umd.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -fig 6 -scale 0.4   > $(FIGDIR)/fig6.txt
+	$(foreach s,$(SERIES),$(GO) run ./cmd/bwc-sim $(SERIES_$(s)) > $(FIGDIR)/$(s).txt$(newline))
 
-# Behaviour gate for the simulation and protocol code: regenerate every
-# Fig. 3–6 series into a temporary directory and require it to match the
+# Behaviour gate for the simulation and protocol code: regenerate all 13
+# series into a temporary directory and require each to match the
 # committed results/ byte for byte.
 figures-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(MAKE) --no-print-directory figures FIGDIR="$$tmp" && \
-	status=0 && for f in $(FIGURES); do diff -u "results/$$f.txt" "$$tmp/$$f.txt" || status=1; done && \
-	if [ $$status -eq 0 ]; then echo "figures-check: $(words $(FIGURES)) series byte-identical"; fi && \
+	status=0 && for f in $(SERIES); do diff -u "results/$$f.txt" "$$tmp/$$f.txt" || status=1; done && \
+	if [ $$status -eq 0 ]; then echo "figures-check: $(words $(SERIES)) series byte-identical"; fi && \
 	exit $$status
 
 # Fault-tolerance series: convergence time and settled query agreement
 # vs gossip loss rate and partition length (EXPERIMENTS.md).
-faults: build | results
+faults: build
 	$(GO) run ./cmd/bwc-sim -series faults > results/fault_series.txt
 
 # Traced-query series: hop counts, trace completeness/gap rate and
 # gossip-age watermarks vs injected loss, with the flight-recorder ring
 # dumped alongside (EXPERIMENTS.md).
-trace: build | results
+trace: build
 	$(GO) run ./cmd/bwc-sim -series trace -flight-dump results/trace_flight.txt > results/trace_series.txt
 
 # Bandwidth-ledger series: per-link delivered bytes per phase window
 # joined against the prediction forest's link bandwidth, with the
 # ledger-vs-delivered-counter reconciliation printed in the header
 # (EXPERIMENTS.md). CI's fault-matrix job uploads the series file.
-bandwidth: build | results
+bandwidth: build
 	$(GO) run ./cmd/bwc-sim -series bandwidth > results/bandwidth_series.txt
 
-# Churn gate + series: the seeded membership soak under the race
-# detector (the async runtime converging through joins, leaves and
-# failures to the synchronous fixed point), then the churn measurement
-# sweep — repair cost vs from-scratch rebuild at 10-50% turnover
-# (EXPERIMENTS.md). LOCKCHECK=1 additionally compiles the dynamic
+# Churn gate: the seeded membership soak under the race detector (the
+# async runtime converging through joins, leaves and failures to the
+# synchronous fixed point). The churn measurement sweep — repair cost vs
+# from-scratch rebuild at 10-50% turnover (EXPERIMENTS.md) — is one of
+# the `figures` series. LOCKCHECK=1 additionally compiles the dynamic
 # lock-order shadow assertion (internal/lockcheck) into the soak, so an
 # inverted acquisition panics at its first occurrence instead of
 # wedging some later run; CI's fault-matrix job runs the soak once this
 # way.
 LOCKTAGS = $(if $(LOCKCHECK),-tags lockcheck,)
-churn: build | results
+churn: build
 	$(GO) test -race -count=1 $(LOCKTAGS) -run 'TestChurn' ./internal/membership/ ./internal/runtime/
-	$(GO) run ./cmd/bwc-sim -series churn > results/churn_series.txt
 
-ablations: build | results
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -ablation ncut -scale 0.3      > results/ablation_ncut.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -ablation trees -scale 0.3     > results/ablation_trees.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -ablation drift                > results/ablation_drift.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -ablation construction         > results/ablation_construction.txt
-	$(GO) run ./cmd/bwc-sim -parallel $(PARALLEL) -ablation sword                > results/ablation_sword.txt
-
+# Removes the untracked outputs only; the 13 series under results/ are
+# committed (figures-check diffs against them).
 clean:
-	rm -rf results
+	rm -f results/fault_series.txt results/trace_series.txt results/trace_flight.txt \
+		results/bandwidth_series.txt results/soak_series.txt bench-matrix.txt coverage.out

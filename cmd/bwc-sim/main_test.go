@@ -15,6 +15,13 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("unknown flag should fail")
 	}
+	// A non-positive or non-finite -scale is rejected before anything
+	// runs, instead of collapsing to a one-round run.
+	for _, scale := range []string{"0", "-3", "NaN", "Inf", "-Inf"} {
+		if err := run([]string{"-ablation", "construction", "-scale", scale}); err == nil {
+			t.Errorf("-scale %s should fail", scale)
+		}
+	}
 }
 
 func TestRunAblationsTiny(t *testing.T) {

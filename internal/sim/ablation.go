@@ -16,10 +16,32 @@ type NCutAblationResult struct {
 	Curves  []NCutCurve
 }
 
+// Blocks renders the n_cut ablation: decentralized RR per cutoff, and
+// the centralized RR (which n_cut does not affect) from the last curve.
+func (r *NCutAblationResult) Blocks() Series {
+	b := Block{
+		Comments: []string{fmt.Sprintf("n_cut ablation (%s): decentralized RR vs k per cutoff", r.Dataset)},
+		Columns:  []Column{col("k", 6, "d")},
+	}
+	for _, c := range r.Curves {
+		b.Columns = append(b.Columns, col(fmt.Sprintf("ncut=%d", c.NCut), 14, ".4f"))
+	}
+	b.Columns = append(b.Columns, Column{Name: "central", Width: 8, Verb: ".4f", Bare: true})
+	last := r.Curves[len(r.Curves)-1]
+	for i, p := range r.Curves[0].Points {
+		row := []any{p.K}
+		for _, c := range r.Curves {
+			row = append(row, c.Points[i].RR[TreeDecentral])
+		}
+		b.Rows = append(b.Rows, append(row, last.Points[i].RR[TreeCentral]))
+	}
+	return Series{b}
+}
+
 // RunNCutAblation reruns the Fig. 4 experiment for each n_cut value on
 // the same dataset and seeds. The curves are independent (each rerun
-// derives its randomness from base.Seed alone), so base.Parallelism fans
-// them out across workers without changing any curve.
+// derives its randomness from base.Seed alone), so they fan out across
+// one worker per CPU without changing any curve.
 func RunNCutAblation(base TradeoffConfig, nCuts []int) (*NCutAblationResult, error) {
 	if len(nCuts) == 0 {
 		nCuts = []int{5, 10, 20}
@@ -31,11 +53,10 @@ func RunNCutAblation(base TradeoffConfig, nCuts []int) (*NCutAblationResult, err
 	}
 	out := &NCutAblationResult{Dataset: base.Dataset}
 	out.Curves = make([]NCutCurve, len(nCuts))
-	err := forEachIndexed(len(nCuts), base.Parallelism, func(i int) error {
+	err := forEachIndexed(len(nCuts), func(i int) error {
 		cfg := base
 		cfg.NCut = nCuts[i]
-		cfg.Parallelism = 1 // the curve fan-out is the parallel axis
-		res, err := RunTradeoff(cfg)
+		res, err := runTradeoff(cfg, 1) // the curve fan-out is the parallel axis
 		if err != nil {
 			return fmt.Errorf("sim: ncut ablation (n_cut=%d): %w", nCuts[i], err)
 		}
@@ -62,8 +83,27 @@ type TreesAblationResult struct {
 	Curves  []TreesCurve
 }
 
+// Blocks renders the forest-size ablation: TREE-CENTRAL WPR per size.
+func (r *TreesAblationResult) Blocks() Series {
+	b := Block{
+		Comments: []string{fmt.Sprintf("forest-size ablation (%s): TREE-CENTRAL WPR vs b per forest size", r.Dataset)},
+		Columns:  []Column{col("b(Mbps)", 8, ".1f")},
+	}
+	for _, c := range r.Curves {
+		b.Columns = append(b.Columns, col(fmt.Sprintf("trees=%d", c.Trees), 14, ".4f"))
+	}
+	for i, p := range r.Curves[0].Points {
+		row := []any{p.B}
+		for _, c := range r.Curves {
+			row = append(row, c.Points[i].WPR[TreeCentral])
+		}
+		b.Rows = append(b.Rows, row)
+	}
+	return Series{b}
+}
+
 // RunTreesAblation reruns the Fig. 3 WPR sweep for each forest size. As
-// in RunNCutAblation, base.Parallelism fans the independent curves out.
+// in RunNCutAblation, the independent curves fan out across the CPUs.
 func RunTreesAblation(base AccuracyConfig, sizes []int) (*TreesAblationResult, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1, 3, 5}
@@ -75,11 +115,10 @@ func RunTreesAblation(base AccuracyConfig, sizes []int) (*TreesAblationResult, e
 	}
 	out := &TreesAblationResult{Dataset: base.Dataset}
 	out.Curves = make([]TreesCurve, len(sizes))
-	err := forEachIndexed(len(sizes), base.Parallelism, func(i int) error {
+	err := forEachIndexed(len(sizes), func(i int) error {
 		cfg := base
 		cfg.Trees = sizes[i]
-		cfg.Parallelism = 1 // the curve fan-out is the parallel axis
-		res, err := RunAccuracy(cfg)
+		res, err := runAccuracy(cfg, 1) // the curve fan-out is the parallel axis
 		if err != nil {
 			return fmt.Errorf("sim: trees ablation (trees=%d): %w", sizes[i], err)
 		}

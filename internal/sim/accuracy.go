@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bwcluster/internal/dataset"
@@ -34,10 +35,6 @@ type AccuracyConfig struct {
 	Seed int64
 	// CDFPoints caps the resolution of the error CDFs.
 	CDFPoints int
-	// Parallelism bounds the per-round framework construction worker
-	// pool (0: one worker per CPU, 1: sequential). It never changes
-	// results.
-	Parallelism int
 }
 
 // DefaultAccuracyConfig returns the paper-scale configuration: 1000
@@ -62,12 +59,17 @@ func (c AccuracyConfig) Scaled(f float64) AccuracyConfig {
 	return c
 }
 
+// scaleInt returns v*f rounded down, floored at 1 and saturating at
+// math.MaxInt instead of wrapping when the product does not fit an int.
 func scaleInt(v int, f float64) int {
-	s := int(float64(v) * f)
-	if s < 1 {
+	s := float64(v) * f
+	switch {
+	case !(s >= 1): // also NaN
 		return 1
+	case s >= math.MaxInt:
+		return math.MaxInt
 	}
-	return s
+	return int(s)
 }
 
 // AccuracyPoint is one x-axis position of Fig. 3's WPR panels.
@@ -86,8 +88,37 @@ type AccuracyResult struct {
 	ErrCDF  map[Approach][]stats.CDFPoint
 }
 
+// Blocks renders Fig. 3: the WPR curves, then the error CDFs sampled at
+// fixed relative errors.
+func (r *AccuracyResult) Blocks() Series {
+	d := string(r.Dataset)
+	wpr := Block{
+		Comments: []string{fmt.Sprintf("Fig. 3 (%s): WPR vs b, k=%d", d, r.K)},
+		Columns: []Column{col("b(Mbps)", 8, ".1f"), col(d+"-TREE-CENTRAL", 14, ".4f"),
+			col(d+"-TREE-DECENTRAL", 16, ".4f"), col(d+"-EUCL-CENTRAL", 14, ".4f")},
+	}
+	for _, p := range r.Points {
+		wpr.Rows = append(wpr.Rows, []any{p.B, p.WPR[TreeCentral], p.WPR[TreeDecentral], p.WPR[EuclCentral]})
+	}
+	cdf := Block{
+		Comments: []string{fmt.Sprintf("Fig. 3 (%s): CDF of relative bandwidth prediction error", d)},
+		Columns:  []Column{col("rel.error", 12, ".2f"), col(d+"-TREE", 10, ".4f"), col(d+"-EUCL", 10, ".4f")},
+	}
+	for _, x := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0} {
+		cdf.Rows = append(cdf.Rows, []any{x, cdfAt(r.ErrCDF[TreeCentral], x), cdfAt(r.ErrCDF[EuclCentral], x)})
+	}
+	return Series{wpr, cdf}
+}
+
 // RunAccuracy executes the Fig. 3 experiment.
 func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
+	return runAccuracy(cfg, 0)
+}
+
+// runAccuracy is RunAccuracy with each round's framework built on the
+// given number of workers (0: one per CPU); the trees ablation passes 1
+// because its curve fan-out already occupies the CPUs.
+func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	dsCfg, err := cfg.Dataset.Config()
 	if err != nil {
 		return nil, err
@@ -138,7 +169,7 @@ func RunAccuracy(cfg AccuracyConfig) (*AccuracyResult, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(round)))
 		fw, err := BuildFramework(bw, FrameworkConfig{
 			C: cfg.C, NCut: cfg.NCut, Trees: cfg.Trees, Classes: classes, Euclid: true,
-			Parallelism: cfg.Parallelism,
+			Parallelism: workers,
 		}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: accuracy round %d: %w", round, err)

@@ -3,12 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"bwcluster/internal/bwledger"
-	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 	"bwcluster/internal/runtime"
 	"bwcluster/internal/transport"
 )
@@ -21,8 +18,7 @@ import (
 // per window joined against the prediction forest's link bandwidth.
 type BandwidthConfig struct {
 	Dataset Dataset
-	// N restricts the experiment to a subset (0: 24 hosts).
-	N int
+	AsyncConfig
 	// Queries is the query-phase workload size.
 	Queries int
 	// TopK bounds the ledger's tracked links (0: the ledger default).
@@ -30,33 +26,15 @@ type BandwidthConfig struct {
 	// Threshold is the ledger's utilization violation threshold (0: the
 	// ledger default of 1.0).
 	Threshold float64
-	// Tick is the runtime gossip period (0: 1ms).
-	Tick time.Duration
-	// SettleQuiet and SettleTimeout bound the convergence wait (0: 150ms
-	// and 30s).
-	SettleQuiet   time.Duration
-	SettleTimeout time.Duration
-	NCut          int
-	BSteps        int
-	C             float64
-	Seed          int64
-	// Parallelism bounds the framework-construction worker pool; it
-	// never changes results.
-	Parallelism int
 }
 
 // DefaultBandwidthConfig returns the workload recorded in
 // results/bandwidth_series.txt.
 func DefaultBandwidthConfig(ds Dataset) BandwidthConfig {
 	return BandwidthConfig{
-		Dataset: ds,
-		N:       24,
-		Queries: 60,
-		Tick:    time.Millisecond,
-		NCut:    overlay.DefaultNCut,
-		BSteps:  7,
-		C:       metric.DefaultC,
-		Seed:    13,
+		Dataset:     ds,
+		AsyncConfig: defaultAsync(13),
+		Queries:     60,
 	}
 }
 
@@ -94,56 +72,45 @@ type BandwidthResult struct {
 	Violations int
 }
 
+// Blocks renders the bandwidth series: the reconciliation header, then
+// one row per tracked link per phase window and an "other" row for the
+// evicted links' traffic.
+func (r *BandwidthResult) Blocks() Series {
+	b := Block{
+		Comments: []string{
+			fmt.Sprintf("bandwidth series (%s, n=%d, k=%d): per-link delivered bytes per window, joined against predicted link bandwidth", r.Dataset, r.N, r.K),
+			"windows close at phase boundaries: gossip fan-in to the fixed point, then the fig-3 query workload",
+			fmt.Sprintf("ledger total: %d bytes / %d messages; delivered-counter delta: %d (reconciled=%v); violations: %d",
+				r.LedgerBytes, r.LedgerMessages, r.DeliveredDelta, uint64(r.LedgerMessages) == r.DeliveredDelta, r.Violations),
+		},
+		Columns: []Column{col("phase", 9, "s"), col("win", 5, "d"), col("link", 7, "s"), col("bytes", 10, "d"),
+			col("msgs", 7, "d"), col("bytes/s", 12, ".1f"), col("pred.mbps", 10, ".2f"), col("util", 7, ".4f"), col("violation", 10, "v")},
+	}
+	for _, p := range r.Phases {
+		w := p.Window
+		for _, lw := range w.Links {
+			b.Rows = append(b.Rows, []any{p.Name, w.Seq, fmt.Sprintf("%d-%d", lw.A, lw.B),
+				lw.Bytes, lw.Messages, lw.BytesPerSec, lw.PredictedMbps, lw.Utilization, lw.Violation})
+		}
+		if w.OtherBytes > 0 {
+			b.Rows = append(b.Rows, []any{p.Name, w.Seq, "other", w.OtherBytes, w.OtherMessages, "-", "-", "-", "-"})
+		}
+	}
+	return Series{b}
+}
+
 // RunBandwidth builds one prediction framework, runs the asynchronous
 // runtime over a ledger-attached channel transport, and closes one
 // accounting window per phase: gossip fan-in (Start to settled) and a
 // fig-3 style query workload. The ledger joins each window against the
 // framework's predicted link bandwidth.
 func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
-	dsCfg, err := cfg.Dataset.Config()
-	if err != nil {
-		return nil, err
-	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.N <= 0 {
-		cfg.N = 24
-	}
 	if cfg.Queries < 1 || cfg.BSteps < 1 {
 		return nil, fmt.Errorf("sim: bandwidth needs positive Queries and BSteps")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
-	if cfg.SettleQuiet <= 0 {
-		cfg.SettleQuiet = 150 * time.Millisecond
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 30 * time.Second
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
-
-	dataRng := rand.New(rand.NewSource(cfg.Seed))
-	bw, err := dataset.Generate(dsCfg.WithN(cfg.N), dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: bandwidth dataset: %w", err)
-	}
-	classes, err := overlay.ClassesFromBandwidths(linspace(bLo, bHi, cfg.BSteps), cfg.C)
+	s, err := cfg.setup(cfg.Dataset, "bandwidth")
 	if err != nil {
 		return nil, err
-	}
-	fw, err := BuildFramework(bw, FrameworkConfig{
-		C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: cfg.Parallelism,
-	}, dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: bandwidth framework: %w", err)
 	}
 	hosts := make([]int, cfg.N)
 	for i := range hosts {
@@ -159,13 +126,13 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 		if a < 0 || b < 0 || a >= n || b >= n {
 			return 0, false
 		}
-		return fw.PredictedBandwidth(a, b), true
+		return s.fw.PredictedBandwidth(a, b), true
 	})
 	tr := transport.NewChan(0)
 	tr.SetLedger(ledger)
 	deliveredBefore := transport.DeliveredTotal()
 
-	rt, err := runtime.NewWithTransport(fw.Forest, overlay.Config{NCut: cfg.NCut, Classes: classes}, cfg.Tick, tr, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.ovCfg, cfg.Tick, tr, nil)
 	if err != nil {
 		tr.Close()
 		return nil, err
@@ -176,7 +143,7 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 		tr.Close()
 	}()
 
-	out := &BandwidthResult{Dataset: cfg.Dataset, N: cfg.N, K: k}
+	out := &BandwidthResult{Dataset: cfg.Dataset, N: cfg.N, K: s.k}
 	closePhase := func(name string, fromTick, toTick uint64) {
 		// Window length on the runtime's logical clock: deterministic for
 		// a fixed tick duration, never a wall-clock read.
@@ -196,15 +163,14 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	// Phase 2: the fig-3 style query workload (random starts, bandwidth
 	// constraints swept across the dataset's band).
 	queryRng := rand.New(rand.NewSource(cfg.Seed + 500))
-	bValues := linspace(bLo, bHi, cfg.BSteps)
 	for q := 0; q < cfg.Queries; q++ {
-		b := bValues[queryRng.Intn(len(bValues))]
+		b := s.bValues[queryRng.Intn(len(s.bValues))]
 		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
 		if err != nil {
 			return nil, err
 		}
 		start := hosts[queryRng.Intn(len(hosts))]
-		if _, err := rt.Query(start, k, l, cfg.SettleTimeout); err != nil {
+		if _, err := rt.Query(start, s.k, l, cfg.SettleTimeout); err != nil {
 			return nil, fmt.Errorf("sim: bandwidth query %d: %w", q, err)
 		}
 	}

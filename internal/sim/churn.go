@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"bwcluster/internal/cluster"
 	"bwcluster/internal/dataset"
@@ -40,10 +41,6 @@ type ChurnConfig struct {
 	BSteps  int
 	C       float64
 	Seed    int64
-	// Parallelism is accepted for interface symmetry with the other
-	// experiments; the churn engine is sequential (each epoch mutates
-	// the previous state).
-	Parallelism int
 }
 
 // DefaultChurnConfig returns the churn sweep recorded in
@@ -111,6 +108,26 @@ type ChurnResult struct {
 	N       int
 	K       int
 	Points  []ChurnPoint
+}
+
+// Blocks renders the churn sweep: repair vs rebuild cost per turnover
+// rate.
+func (r *ChurnResult) Blocks() Series {
+	b := Block{
+		Comments: []string{
+			fmt.Sprintf("churn series (%s, n=%d, k=%d): Poisson join/leave with incremental tree + overlay repair", r.Dataset, r.N, r.K),
+			"msgs/meas columns are per-epoch means; rebuild columns are the from-scratch baselines",
+		},
+		Columns: []Column{col("rate", 7, ".2f"), col("joins", 6, "d"), col("leaves", 7, "d"),
+			col("rounds", 8, ".1f"), col("repair.msg", 11, ".1f"), col("rebuild.msg", 12, ".1f"),
+			col("meas.incr", 10, ".1f"), col("meas.rebld", 12, ".1f"), col("RR", 7, ".3f"),
+			col("WPR", 8, ".4f"), col("stale", 7, "d"), col("fixed", 6, "v")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.Rate, p.Joins, p.Leaves, p.RepairRounds, p.RepairMsgs, p.RebuildMsgs,
+			p.MeasIncremental, p.MeasRebuild, p.RR, p.WPR, p.StaleRejects, p.FixedPoint})
+	}
+	return Series{b}
 }
 
 // poisson draws a Poisson(lambda) variate from rng (Knuth's product
@@ -347,17 +364,17 @@ func networksEqual(a, b *overlay.Network) bool {
 		return false
 	}
 	for _, x := range ah {
-		if !equalIntSlices(a.SelfCRT(x), b.SelfCRT(x)) {
+		if !slices.Equal(a.SelfCRT(x), b.SelfCRT(x)) {
 			return false
 		}
-		if !equalIntSlices(a.Neighbors(x), b.Neighbors(x)) {
+		if !slices.Equal(a.Neighbors(x), b.Neighbors(x)) {
 			return false
 		}
 		for _, m := range a.Neighbors(x) {
-			if !equalIntSlices(a.AggrNode(x, m), b.AggrNode(x, m)) {
+			if !slices.Equal(a.AggrNode(x, m), b.AggrNode(x, m)) {
 				return false
 			}
-			if !equalIntSlices(a.CRT(x, m), b.CRT(x, m)) {
+			if !slices.Equal(a.CRT(x, m), b.CRT(x, m)) {
 				return false
 			}
 		}

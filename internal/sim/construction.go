@@ -19,9 +19,6 @@ type ConstructionConfig struct {
 	Rounds  int
 	C       float64
 	Seed    int64
-	// Parallelism bounds the worker pool fanning the per-size series out
-	// (0: one worker per CPU, 1: sequential); it never changes results.
-	Parallelism int
 }
 
 // DefaultConstructionConfig sweeps 50..300 hosts over 5 rounds.
@@ -55,6 +52,18 @@ type ConstructionResult struct {
 	Points []ConstructionPoint
 }
 
+// Blocks renders the construction-cost series with the anchor/full ratio.
+func (r *ConstructionResult) Blocks() Series {
+	b := Block{
+		Comments: []string{fmt.Sprintf("construction cost (%s subsets): measurements per joining host", r.Base)},
+		Columns:  []Column{col("n", 6, "d"), col("full-scan", 14, ".1f"), col("anchor-search", 14, ".1f"), col("ratio", 8, ".2f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.N, p.FullPerJoin, p.AnchorPerJoin, p.AnchorPerJoin / p.FullPerJoin})
+	}
+	return Series{b}
+}
+
 // RunConstructionCost builds prediction trees in both search modes over
 // subsets of the base dataset and reports the per-join measurement cost.
 func RunConstructionCost(cfg ConstructionConfig) (*ConstructionResult, error) {
@@ -78,7 +87,7 @@ func RunConstructionCost(cfg ConstructionConfig) (*ConstructionResult, error) {
 	}
 	out := &ConstructionResult{Base: cfg.Base}
 	out.Points = make([]ConstructionPoint, len(cfg.NValues))
-	err = forEachIndexed(len(cfg.NValues), cfg.Parallelism, func(ni int) error {
+	err = forEachIndexed(len(cfg.NValues), func(ni int) error {
 		n := cfg.NValues[ni]
 		if n > base.N() {
 			return fmt.Errorf("sim: subset size %d exceeds base %d", n, base.N())

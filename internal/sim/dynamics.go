@@ -14,6 +14,7 @@ import (
 // conditions change; the underlying framework restructures itself, so the
 // interesting measurement is how much accuracy a *stale* framework loses
 // as bandwidth drifts, compared to one rebuilt from fresh measurements.
+// Epochs run sequentially: each drifts the previous state.
 type DynamicsConfig struct {
 	Dataset Dataset
 	// N restricts the experiment to a subset (0: 120 hosts).
@@ -34,10 +35,6 @@ type DynamicsConfig struct {
 	BSteps     int
 	C          float64
 	Seed       int64
-	// Parallelism bounds the worker pool inside each framework build
-	// (0: one worker per CPU, 1: sequential); it never changes results.
-	// Epochs themselves stay sequential — each drifts the previous state.
-	Parallelism int
 }
 
 // DefaultDynamicsConfig returns a moderate drift scenario.
@@ -80,6 +77,20 @@ type DynamicsResult struct {
 	DriftSigma float64
 	K          int
 	Points     []DynamicsPoint
+}
+
+// Blocks renders the drift series: stale vs refreshed WPR and RR.
+func (r *DynamicsResult) Blocks() Series {
+	b := Block{
+		Comments: []string{fmt.Sprintf("dynamics (%s): bandwidth drifts sigma=%.2f per epoch; stale vs refreshed framework, k=%d",
+			r.Dataset, r.DriftSigma, r.K)},
+		Columns: []Column{col("epoch", 7, "d"), col("WPR.stale", 10, ".4f"), col("WPR.refreshed", 13, ".4f"),
+			col("RR.stale", 9, ".4f"), col("RR.refreshed", 12, ".4f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.Epoch, p.WPRStale, p.WPRRefreshed, p.RRStale, p.RRRefreshed})
+	}
+	return Series{b}
 }
 
 // RunDynamics drifts the bandwidth matrix epoch by epoch. The stale
@@ -132,7 +143,7 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fwCfg := FrameworkConfig{C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: cfg.Parallelism}
+	fwCfg := FrameworkConfig{C: cfg.C, NCut: cfg.NCut, Classes: classes}
 
 	// The stale frameworks share the epoch-0 refresh seeds, so both sides
 	// start identical and the curves separate only through drift.

@@ -3,9 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
-	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/runtime"
@@ -17,13 +17,11 @@ import (
 // transport at a grid of gossip loss rates and partition lengths, and
 // each cell measures how long convergence to the synchronous fixed point
 // takes and whether settled queries still agree with the synchronous
-// engine.
+// engine. The cells run sequentially: each one times a live runtime, and
+// co-scheduling runtimes would distort those timings.
 type FaultsConfig struct {
 	Dataset Dataset
-	// N restricts the experiment to a subset (0: 24 hosts — the runtime
-	// spawns a goroutine per host and gossips every tick, so the grid
-	// stays small).
-	N int
+	AsyncConfig
 	// Losses are the gossip drop rates to sweep (nil: 0, 0.1, 0.3).
 	Losses []float64
 	// PartitionSends are the partition window lengths to sweep, measured
@@ -31,21 +29,6 @@ type FaultsConfig struct {
 	PartitionSends []int
 	// Queries is the per-cell settled query count.
 	Queries int
-	// Tick is the runtime gossip period (0: 1ms).
-	Tick time.Duration
-	// SettleQuiet and SettleTimeout bound the convergence wait (0: 150ms
-	// and 30s).
-	SettleQuiet   time.Duration
-	SettleTimeout time.Duration
-	NCut          int
-	BSteps        int
-	C             float64
-	Seed          int64
-	// Parallelism bounds the framework-construction worker pool (0: one
-	// per CPU, 1: sequential); it never changes results. The grid cells
-	// themselves run sequentially — each one times a live runtime, and
-	// co-scheduling runtimes would distort those timings.
-	Parallelism int
 }
 
 // DefaultFaultsConfig returns the fault grid recorded in
@@ -53,15 +36,10 @@ type FaultsConfig struct {
 func DefaultFaultsConfig(ds Dataset) FaultsConfig {
 	return FaultsConfig{
 		Dataset:        ds,
-		N:              24,
+		AsyncConfig:    defaultAsync(11),
 		Losses:         []float64{0, 0.1, 0.3},
 		PartitionSends: []int{0, 1500},
 		Queries:        30,
-		Tick:           time.Millisecond,
-		NCut:           overlay.DefaultNCut,
-		BSteps:         7,
-		C:              metric.DefaultC,
-		Seed:           11,
 	}
 }
 
@@ -98,6 +76,22 @@ type FaultsResult struct {
 	Points  []FaultsPoint
 }
 
+// Blocks renders the fault grid: settle cost and query success per cell.
+func (r *FaultsResult) Blocks() Series {
+	b := Block{
+		Comments: []string{
+			fmt.Sprintf("fault series (%s, n=%d, k=%d): async runtime over seeded fault injection", r.Dataset, r.N, r.K),
+			"partition cells cut a third of the peers off for the given number of transport sends, then heal",
+		},
+		Columns: []Column{col("loss", 8, ".2f"), col("partition", 11, "d"), col("msgs", 10, "d"),
+			col("settle.ms", 10, ".1f"), col("converged", 10, "v"), col("qsuccess", 9, ".3f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.Loss, p.PartitionSends, p.MsgsToSettle, p.SettleMs, p.Converged, p.QuerySuccess})
+	}
+	return Series{b}
+}
+
 // RunFaults builds one prediction framework, converges the synchronous
 // reference overlay, then for every (loss, partition) cell runs the
 // asynchronous runtime over a seeded FaultTransport and measures time to
@@ -105,17 +99,6 @@ type FaultsResult struct {
 // the paper's claim is that the periodic, idempotent gossip tolerates an
 // unreliable network, not that one-shot query forwards do.
 func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
-	dsCfg, err := cfg.Dataset.Config()
-	if err != nil {
-		return nil, err
-	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.N <= 0 {
-		cfg.N = 24
-	}
 	if len(cfg.Losses) == 0 {
 		cfg.Losses = []float64{0, 0.1, 0.3}
 	}
@@ -125,51 +108,16 @@ func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
 	if cfg.Queries < 1 || cfg.BSteps < 1 {
 		return nil, fmt.Errorf("sim: faults needs positive Queries and BSteps")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
-	if cfg.SettleQuiet <= 0 {
-		cfg.SettleQuiet = 150 * time.Millisecond
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 30 * time.Second
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
-
-	dataRng := rand.New(rand.NewSource(cfg.Seed))
-	topo, err := dataset.NewTopology(dsCfg.WithN(cfg.N), dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: faults topology: %w", err)
-	}
-	bw, err := topo.Matrix(dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: faults dataset: %w", err)
-	}
-	classes, err := overlay.ClassesFromBandwidths(linspace(bLo, bHi, cfg.BSteps), cfg.C)
+	s, err := cfg.setup(cfg.Dataset, "faults")
 	if err != nil {
 		return nil, err
 	}
-	fw, err := BuildFramework(bw, FrameworkConfig{
-		C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: cfg.Parallelism,
-	}, dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: faults framework: %w", err)
-	}
-	nw := fw.Net
-	hosts := nw.Hosts()
-	ovCfg := overlay.Config{NCut: cfg.NCut, Classes: classes}
-
-	out := &FaultsResult{Dataset: cfg.Dataset, N: cfg.N, K: k}
+	out := &FaultsResult{Dataset: cfg.Dataset, N: cfg.N, K: s.k}
 	cell := 0
 	for _, loss := range cfg.Losses {
 		for _, ps := range cfg.PartitionSends {
 			cell++
-			pt, err := runFaultCell(cfg, fw, nw, hosts, ovCfg, loss, ps, int64(cell), k, bLo, bHi)
+			pt, err := runFaultCell(cfg, s, loss, ps, int64(cell))
 			if err != nil {
 				return nil, fmt.Errorf("sim: faults cell loss=%v partition=%d: %w", loss, ps, err)
 			}
@@ -184,8 +132,9 @@ func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
 // The settle stopwatch below reads the wall clock: it measures how long
 // real convergence takes, which is the experiment's output, and never
 // feeds back into algorithm state — hence the determinism suppressions.
-func runFaultCell(cfg FaultsConfig, fw *Framework, nw *overlay.Network, hosts []int,
-	ovCfg overlay.Config, loss float64, ps int, cell int64, k int, bLo, bHi float64) (FaultsPoint, error) {
+func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int64) (FaultsPoint, error) {
+	nw := s.fw.Net
+	hosts := nw.Hosts()
 	pt := FaultsPoint{Loss: loss, PartitionSends: ps}
 	var parts []transport.Partition
 	if ps > 0 {
@@ -204,7 +153,7 @@ func runFaultCell(cfg FaultsConfig, fw *Framework, nw *overlay.Network, hosts []
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(fw.Forest, ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.ovCfg, cfg.Tick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err
@@ -223,20 +172,19 @@ func runFaultCell(cfg FaultsConfig, fw *Framework, nw *overlay.Network, hosts []
 	pt.Converged = runtimeAtFixedPoint(nw, rt)
 
 	queryRng := rand.New(rand.NewSource(cfg.Seed + 500 + cell))
-	bValues := linspace(bLo, bHi, cfg.BSteps)
 	agree := 0
 	for q := 0; q < cfg.Queries; q++ {
-		b := bValues[queryRng.Intn(len(bValues))]
+		b := s.bValues[queryRng.Intn(len(s.bValues))]
 		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
 		if err != nil {
 			return pt, err
 		}
 		start := hosts[queryRng.Intn(len(hosts))]
-		want, err := nw.Query(start, k, l)
+		want, err := nw.Query(start, s.k, l)
 		if err != nil {
 			return pt, err
 		}
-		got, err := rt.Query(start, k, l, cfg.SettleTimeout)
+		got, err := rt.Query(start, s.k, l, cfg.SettleTimeout)
 		if err != nil {
 			return pt, err
 		}
@@ -253,28 +201,16 @@ func runFaultCell(cfg FaultsConfig, fw *Framework, nw *overlay.Network, hosts []
 // synchronous fixed point.
 func runtimeAtFixedPoint(nw *overlay.Network, rt *runtime.Runtime) bool {
 	for _, x := range rt.Hosts() {
-		if !equalIntSlices(nw.SelfCRT(x), rt.SelfCRT(x)) {
+		if !slices.Equal(nw.SelfCRT(x), rt.SelfCRT(x)) {
 			return false
 		}
 		for _, m := range nw.Neighbors(x) {
-			if !equalIntSlices(nw.AggrNode(x, m), rt.AggrNode(x, m)) {
+			if !slices.Equal(nw.AggrNode(x, m), rt.AggrNode(x, m)) {
 				return false
 			}
-			if !equalIntSlices(nw.CRT(x, m), rt.CRT(x, m)) {
+			if !slices.Equal(nw.CRT(x, m), rt.CRT(x, m)) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

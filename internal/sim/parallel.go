@@ -7,16 +7,16 @@ import (
 	"bwcluster/internal/cluster"
 )
 
-// forEachIndexed runs fn(i) for every i in [0, n) across a pool of
-// workers (workers < 1: one per CPU) and returns the lowest-index error,
-// if any. Each experiment runner that sweeps an independent series —
+// forEachIndexed runs fn(i) for every i in [0, n) across one worker per
+// GOMAXPROCS (capped at n) and returns the lowest-index error, if any.
+// Each experiment runner that sweeps an independent series —
 // treeness noise levels, ablation curves, scalability sizes — derives all
 // randomness for slot i from the config seed alone, so fanning the slots
 // out changes nothing but wall-clock time: results land at their own
 // index, and the emitted series order is identical to the sequential
 // sweep's.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
-	workers = cluster.Workers(workers, n)
+func forEachIndexed(n int, fn func(i int) error) error {
+	workers := cluster.Workers(0, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

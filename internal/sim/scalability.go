@@ -28,11 +28,6 @@ type ScalabilityConfig struct {
 	NCut   int
 	C      float64
 	Seed   int64
-	// Parallelism bounds the worker pool fanning the per-size data
-	// series out (0: one worker per CPU, 1: sequential). Every size
-	// derives its randomness from Seed and its own parameters, so the
-	// fan-out never changes results.
-	Parallelism int
 }
 
 // DefaultScalabilityConfig returns the paper-scale Fig. 6 configuration.
@@ -81,6 +76,19 @@ type ScalabilityResult struct {
 	Points []ScalePoint
 }
 
+// Blocks renders Fig. 6: routing hops, RR and gossip cost per size.
+func (r *ScalabilityResult) Blocks() Series {
+	b := Block{
+		Comments: []string{fmt.Sprintf("Fig. 6 (%s subsets): query routing hops vs system size", r.Base)},
+		Columns: []Column{col("n", 6, "d"), col("avg.hops", 10, ".3f"), col("max.hops", 9, "d"),
+			col("RR", 6, ".3f"), col("msgs/host/rnd", 14, ".2f"), col("cvg.rounds", 10, ".1f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.N, p.AvgHops, p.MaxHops, p.RR, p.MsgsPerHostRound, p.ConvergeRounds})
+	}
+	return Series{b}
+}
+
 // RunScalability executes the Fig. 6 experiment: for each system size,
 // random subsets of the base dataset host decentralized frameworks, and
 // random queries (k = 5%..30% of n, b across the band) are traced for
@@ -120,7 +128,9 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 
 	out := &ScalabilityResult{Base: cfg.Base}
 	out.Points = make([]ScalePoint, len(cfg.NValues))
-	err = forEachIndexed(len(cfg.NValues), cfg.Parallelism, func(ni int) error {
+	// Every size derives its randomness from Seed and its own
+	// parameters, so fanning the sizes out never changes results.
+	err = forEachIndexed(len(cfg.NValues), func(ni int) error {
 		n := cfg.NValues[ni]
 		if n > base.N() {
 			return fmt.Errorf("sim: subset size %d exceeds base %d", n, base.N())

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"bwcluster/internal/dataset"
@@ -154,8 +157,31 @@ func TestLinspaceAndIntRange(t *testing.T) {
 	if got := intRange(5, 5, 3); len(got) != 1 || got[0] != 5 {
 		t.Errorf("degenerate intRange = %v", got)
 	}
-	if got := scaleInt(10, 0.001); got != 1 {
-		t.Errorf("scaleInt floor = %d", got)
+}
+
+// scaleInt floors at 1 and saturates at math.MaxInt: a non-finite or
+// huge factor must never wrap to a negative count (which the floor
+// would then turn into a silent one-round run).
+func TestScaleIntSaturates(t *testing.T) {
+	for _, c := range []struct {
+		v    int
+		f    float64
+		want int
+	}{
+		{10, 1, 10},
+		{10, 0.55, 5},
+		{10, 0.001, 1},
+		{10, 0, 1},
+		{10, -3, 1},
+		{10, math.NaN(), 1},
+		{10, math.Inf(-1), 1},
+		{10, math.Inf(1), math.MaxInt},
+		{10, 1e30, math.MaxInt},
+		{math.MaxInt, 2, math.MaxInt},
+	} {
+		if got := scaleInt(c.v, c.f); got != c.want {
+			t.Errorf("scaleInt(%d, %v) = %d, want %d", c.v, c.f, got, c.want)
+		}
 	}
 }
 
@@ -546,5 +572,38 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if a.Series[0].Points[i] != b.Series[0].Points[i] {
 			t.Fatalf("treeness not deterministic at point %d", i)
 		}
+	}
+}
+
+// The fan-out over independent series (ablation curves, construction
+// sizes, treeness noise levels) runs one worker per GOMAXPROCS and must
+// not change any result: sequential and 4-way runs are deeply equal.
+func TestFanOutNeverChangesResults(t *testing.T) {
+	ncut := DefaultTradeoffConfig(HP).Scaled(0.02)
+	cons := DefaultConstructionConfig().Scaled(0.2)
+	cons.NValues = []int{50, 100, 150}
+	tree := DefaultTreenessConfig(HP).Scaled(0.1)
+	tree.Noises = []float64{0.1, 0.3}
+	runAll := func() []any {
+		a, err := RunNCutAblation(ncut, []int{4, 8, 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := RunConstructionCost(cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := RunTreeness(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{a, c, tr}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := runAll()
+	runtime.GOMAXPROCS(4)
+	par := runAll()
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("results differ between GOMAXPROCS=1 and 4:\n%+v\n%+v", seq, par)
 	}
 }

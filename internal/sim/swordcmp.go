@@ -25,9 +25,6 @@ type SwordConfig struct {
 	BSteps int
 	C      float64
 	Seed   int64
-	// Parallelism bounds the worker pool inside each framework build
-	// (0: one worker per CPU, 1: sequential); it never changes results.
-	Parallelism int
 }
 
 // DefaultSwordConfig compares on a 150-host HP-like subset.
@@ -77,6 +74,25 @@ type SwordResult struct {
 	Points            []SwordPoint
 }
 
+// Blocks renders the SWORD comparison: up-front measurement cost, then
+// per-k return rate and search cost of both approaches.
+func (r *SwordResult) Blocks() Series {
+	b := Block{
+		Comments: []string{
+			fmt.Sprintf("SWORD-like exhaustive baseline vs tree-metric clustering (%s, n=%d)", r.Dataset, r.N),
+			fmt.Sprintf("SWORD needs %d n-to-n measurements up front; framework construction used %.0f (%.1f%%)",
+				r.SwordMeasurements, r.TreeMeasurements, 100*r.TreeMeasurements/float64(r.SwordMeasurements)),
+			fmt.Sprintf("SWORD answers are always correct (WPR 0) but its search is budget-bounded (%d expansions)", r.Budget),
+		},
+		Columns: []Column{col("k", 6, "d"), col("swordRR", 9, ".3f"), col("swordSteps", 11, ".1f"),
+			col("exhausted", 11, ".3f"), col("treeRR", 8, ".3f"), col("treeWPR", 8, ".3f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.K, p.SwordRR, p.SwordSteps, p.SwordExhausted, p.TreeRR, p.TreeWPR})
+	}
+	return Series{b}
+}
+
 // RunSwordComparison quantifies the related-work claim: the exhaustive
 // baseline guarantees correct answers but needs n-to-n measurements and
 // an exponential-worst-case search that a budget must cut off, while the
@@ -124,7 +140,7 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 	measurements := 0.0
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 700 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{C: cfg.C, Parallelism: cfg.Parallelism}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{C: cfg.C}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: sword round %d: %w", round, err)
 		}

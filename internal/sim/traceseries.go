@@ -3,11 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 	"bwcluster/internal/runtime"
 	"bwcluster/internal/telemetry"
 	"bwcluster/internal/transport"
@@ -17,29 +14,15 @@ import (
 // asynchronous runtime is run over seeded gossip loss, every query is
 // traced, and each loss level measures how complete the reassembled
 // span trees stay — the observability plane's own fidelity under the
-// faults it exists to explain.
+// faults it exists to explain. The loss levels run sequentially: each
+// times a live runtime.
 type TraceSeriesConfig struct {
 	Dataset Dataset
-	// N restricts the experiment to a subset (0: 24 hosts).
-	N int
+	AsyncConfig
 	// Losses are the gossip drop rates to sweep (nil: 0, 0.1, 0.3).
 	Losses []float64
 	// Queries is the per-level traced query count.
 	Queries int
-	// Tick is the runtime gossip period (0: 1ms).
-	Tick time.Duration
-	// SettleQuiet and SettleTimeout bound the convergence wait (0: 150ms
-	// and 30s).
-	SettleQuiet   time.Duration
-	SettleTimeout time.Duration
-	NCut          int
-	BSteps        int
-	C             float64
-	Seed          int64
-	// Parallelism bounds the framework-construction worker pool; the
-	// loss levels themselves run sequentially (each times a live
-	// runtime).
-	Parallelism int
 	// Flight, when non-nil, is attached to every runtime so the series
 	// leaves a black-box record (bwc-sim wires the process recorder
 	// here for -flight-dump).
@@ -50,15 +33,10 @@ type TraceSeriesConfig struct {
 // results/trace_series.txt.
 func DefaultTraceSeriesConfig(ds Dataset) TraceSeriesConfig {
 	return TraceSeriesConfig{
-		Dataset: ds,
-		N:       24,
-		Losses:  []float64{0, 0.1, 0.3},
-		Queries: 30,
-		Tick:    time.Millisecond,
-		NCut:    overlay.DefaultNCut,
-		BSteps:  7,
-		C:       metric.DefaultC,
-		Seed:    11,
+		Dataset:     ds,
+		AsyncConfig: defaultAsync(11),
+		Losses:      []float64{0, 0.1, 0.3},
+		Queries:     30,
 	}
 }
 
@@ -104,70 +82,43 @@ type TraceSeriesResult struct {
 	Points  []TraceSeriesPoint
 }
 
+// Blocks renders the trace series: agreement, hops and trace
+// completeness per loss level.
+func (r *TraceSeriesResult) Blocks() Series {
+	b := Block{
+		Comments: []string{
+			fmt.Sprintf("trace series (%s, n=%d, k=%d): traced queries over seeded gossip loss", r.Dataset, r.N, r.K),
+			"complete: span tree carried every expected hop event; gap: >=1 dropped report surfaced as a gap span",
+		},
+		Columns: []Column{col("loss", 8, ".2f"), col("agree", 9, ".3f"), col("hops", 7, ".2f"),
+			col("complete", 9, "d"), col("gapTrees", 9, "d"), col("evts", 6, ".2f"),
+			col("maxAge", 10, "d"), col("converged", 9, "v"), col("queries", 10, "d")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.Loss, p.Agreement, p.AvgHops, p.CompleteTraces, p.GapTraces,
+			p.AvgHopEvents, p.MaxGossipAgeTicks, p.Converged, p.Queries})
+	}
+	return Series{b}
+}
+
 // RunTraceSeries builds one prediction framework, converges the
 // synchronous reference, then for each loss level runs the asynchronous
 // runtime over a seeded GossipOnly FaultTransport, settles it, and runs
 // traced queries, measuring answer agreement and trace completeness.
 func RunTraceSeries(cfg TraceSeriesConfig) (*TraceSeriesResult, error) {
-	dsCfg, err := cfg.Dataset.Config()
-	if err != nil {
-		return nil, err
-	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.N <= 0 {
-		cfg.N = 24
-	}
 	if len(cfg.Losses) == 0 {
 		cfg.Losses = []float64{0, 0.1, 0.3}
 	}
 	if cfg.Queries < 1 || cfg.BSteps < 1 {
 		return nil, fmt.Errorf("sim: trace series needs positive Queries and BSteps")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
-	if cfg.SettleQuiet <= 0 {
-		cfg.SettleQuiet = 150 * time.Millisecond
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 30 * time.Second
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
-
-	dataRng := rand.New(rand.NewSource(cfg.Seed))
-	topo, err := dataset.NewTopology(dsCfg.WithN(cfg.N), dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: trace series topology: %w", err)
-	}
-	bw, err := topo.Matrix(dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: trace series dataset: %w", err)
-	}
-	classes, err := overlay.ClassesFromBandwidths(linspace(bLo, bHi, cfg.BSteps), cfg.C)
+	s, err := cfg.setup(cfg.Dataset, "trace series")
 	if err != nil {
 		return nil, err
 	}
-	fw, err := BuildFramework(bw, FrameworkConfig{
-		C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: cfg.Parallelism,
-	}, dataRng)
-	if err != nil {
-		return nil, fmt.Errorf("sim: trace series framework: %w", err)
-	}
-	nw := fw.Net
-	hosts := nw.Hosts()
-	ovCfg := overlay.Config{NCut: cfg.NCut, Classes: classes}
-
-	out := &TraceSeriesResult{Dataset: cfg.Dataset, N: cfg.N, K: k}
+	out := &TraceSeriesResult{Dataset: cfg.Dataset, N: cfg.N, K: s.k}
 	for i, loss := range cfg.Losses {
-		pt, err := runTraceLevel(cfg, fw, nw, hosts, ovCfg, loss, int64(i+1), k, bLo, bHi)
+		pt, err := runTraceLevel(cfg, s, loss, int64(i+1))
 		if err != nil {
 			return nil, fmt.Errorf("sim: trace series loss=%v: %w", loss, err)
 		}
@@ -178,8 +129,9 @@ func RunTraceSeries(cfg TraceSeriesConfig) (*TraceSeriesResult, error) {
 
 // runTraceLevel measures one loss level: settled traced queries, their
 // span-tree completeness, and the health watermark after the batch.
-func runTraceLevel(cfg TraceSeriesConfig, fw *Framework, nw *overlay.Network, hosts []int,
-	ovCfg overlay.Config, loss float64, level int64, k int, bLo, bHi float64) (TraceSeriesPoint, error) {
+func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int64) (TraceSeriesPoint, error) {
+	nw := s.fw.Net
+	hosts := nw.Hosts()
 	pt := TraceSeriesPoint{Loss: loss, Queries: cfg.Queries}
 	ft, err := transport.NewFault(transport.NewChan(0), transport.FaultConfig{
 		Seed:       cfg.Seed + 1000*level,
@@ -189,7 +141,7 @@ func runTraceLevel(cfg TraceSeriesConfig, fw *Framework, nw *overlay.Network, ho
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(fw.Forest, ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.ovCfg, cfg.Tick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err
@@ -206,21 +158,20 @@ func runTraceLevel(cfg TraceSeriesConfig, fw *Framework, nw *overlay.Network, ho
 	pt.Converged = runtimeAtFixedPoint(nw, rt)
 
 	queryRng := rand.New(rand.NewSource(cfg.Seed + 500 + level))
-	bValues := linspace(bLo, bHi, cfg.BSteps)
 	agree, hops, events := 0, 0, 0
 	for q := 0; q < cfg.Queries; q++ {
-		b := bValues[queryRng.Intn(len(bValues))]
+		b := s.bValues[queryRng.Intn(len(s.bValues))]
 		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
 		if err != nil {
 			return pt, err
 		}
 		start := hosts[queryRng.Intn(len(hosts))]
-		want, err := nw.Query(start, k, l)
+		want, err := nw.Query(start, s.k, l)
 		if err != nil {
 			return pt, err
 		}
 		span := telemetry.StartSpan("query")
-		got, err := rt.QueryTraced(start, k, l, cfg.SettleTimeout, span)
+		got, err := rt.QueryTraced(start, s.k, l, cfg.SettleTimeout, span)
 		span.Finish()
 		if err != nil {
 			return pt, err

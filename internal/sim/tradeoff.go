@@ -26,10 +26,6 @@ type TradeoffConfig struct {
 	NCut   int
 	C      float64
 	Seed   int64
-	// Parallelism bounds the per-round framework construction worker
-	// pool (0: one worker per CPU, 1: sequential). It never changes
-	// results.
-	Parallelism int
 }
 
 // DefaultTradeoffConfig returns the paper-scale Fig. 4 configuration.
@@ -65,10 +61,30 @@ type TradeoffResult struct {
 	Points  []TradeoffPoint
 }
 
+// Blocks renders Fig. 4: RR vs k, centralized and decentralized.
+func (r *TradeoffResult) Blocks() Series {
+	d := string(r.Dataset)
+	b := Block{
+		Comments: []string{fmt.Sprintf("Fig. 4 (%s): RR vs k, n_cut=%d", d, r.NCut)},
+		Columns:  []Column{col("k", 6, "d"), col(d+"-TREE-CENTRAL", 14, ".4f"), col(d+"-TREE-DECENTRAL", 16, ".4f")},
+	}
+	for _, p := range r.Points {
+		b.Rows = append(b.Rows, []any{p.K, p.RR[TreeCentral], p.RR[TreeDecentral]})
+	}
+	return Series{b}
+}
+
 // RunTradeoff executes the Fig. 4 experiment: as k grows, the
 // decentralized return rate falls below the centralized one because each
 // peer only aggregates n_cut nodes per direction.
 func RunTradeoff(cfg TradeoffConfig) (*TradeoffResult, error) {
+	return runTradeoff(cfg, 0)
+}
+
+// runTradeoff is RunTradeoff with each round's framework built on the
+// given number of workers (0: one per CPU); the n_cut ablation passes 1
+// because its curve fan-out already occupies the CPUs.
+func runTradeoff(cfg TradeoffConfig, workers int) (*TradeoffResult, error) {
 	dsCfg, err := cfg.Dataset.Config()
 	if err != nil {
 		return nil, err
@@ -112,7 +128,7 @@ func RunTradeoff(cfg TradeoffConfig) (*TradeoffResult, error) {
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 5000 + int64(round)))
 		fw, err := BuildFramework(bw, FrameworkConfig{
-			C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: cfg.Parallelism,
+			C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: workers,
 		}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: tradeoff round %d: %w", round, err)

@@ -37,11 +37,6 @@ type TreenessConfig struct {
 	EpsSamples int
 	C          float64
 	Seed       int64
-	// Parallelism bounds the worker pool fanning the per-noise series out
-	// (0: one worker per CPU, 1: sequential). Each series derives all of
-	// its randomness from Seed and its own index, so the fan-out never
-	// changes results.
-	Parallelism int
 }
 
 // DefaultTreenessConfig returns the paper-scale Fig. 5 configuration.
@@ -94,6 +89,23 @@ type TreenessResult struct {
 	Series []TreenessSeries
 }
 
+// Blocks renders Fig. 5: a title block, then one table per noise level.
+func (r *TreenessResult) Blocks() Series {
+	out := Series{{Comments: []string{fmt.Sprintf("Fig. 5 (%s): WPR vs f_b per treeness level, k=%d, alpha=%.1f", r.Base, r.K, r.Alpha)}}}
+	for _, s := range r.Series {
+		b := Block{
+			Comments: []string{fmt.Sprintf("dataset eps_avg=%.3f (noise sigma %.2f)", s.EpsAvg, s.Noise)},
+			Columns: []Column{col("b", 8, ".1f"), col("f_b", 8, ".4f"), col("f_a", 8, ".4f"),
+				col("WPR", 8, ".4f"), col("WPR^f_a*", 10, ".4f"), col("eq1", 8, ".4f")},
+		}
+		for _, p := range s.Points {
+			b.Rows = append(b.Rows, []any{p.B, p.FB, p.FA, p.WPR, p.WPRNorm, p.Model})
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 // RunTreeness executes the Fig. 5 experiment with the centralized
 // tree-metric approach (the error under study comes from the prediction
 // framework, not from query routing).
@@ -129,7 +141,9 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 
 	out := &TreenessResult{Base: cfg.Base, K: cfg.K, Alpha: cfg.Alpha}
 	out.Series = make([]TreenessSeries, len(cfg.Noises))
-	err = forEachIndexed(len(cfg.Noises), cfg.Parallelism, func(di int) error {
+	// Each series derives all of its randomness from Seed and its own
+	// index, so fanning the noise levels out never changes results.
+	err = forEachIndexed(len(cfg.Noises), func(di int) error {
 		noise := cfg.Noises[di]
 		// All noise levels share the data seed: the generator consumes its
 		// stream identically regardless of amplitude, so the datasets are

@@ -35,8 +35,9 @@ race:
 	$(GO) test -race ./...
 
 # Coverage-guided fuzzing of every Algorithm 1 answer path (direct scan,
-# sequential- and parallel-built Index, per-k staircase) against each
-# other, of the overlay's in-place local search against a copied
+# sequential- and parallel-built Index, per-k staircase, per-l ladder)
+# against each other, of the overlay's local search (a peer's ladder
+# table, and the scan a stale table falls back to) against a copied
 # clustering space, and of stats.Percentile's selection against
 # sort-then-interpolate; `go test` alone only replays the seed corpora.
 # The three share the 20 s the CI step has always had.

@@ -381,8 +381,9 @@ func (s *System) FindCluster(k int, minBandwidth float64) ([]int, error) {
 // routing tables promise a big-enough cluster. minBandwidth snaps UP to
 // the nearest configured bandwidth class, so returned clusters always
 // meet the requested constraint (on predicted bandwidth). Queries only
-// read the converged overlay state (local cluster searches read the
-// shared distance snapshot in place), so Query is safe for concurrent use.
+// read the converged overlay state (a local cluster search reads the
+// ladder table its peer built at convergence, and two rows of the shared
+// distance snapshot), so Query is safe for concurrent use.
 func (s *System) Query(start, k int, minBandwidth float64) (QueryResult, error) {
 	if err := s.checkHost(start); err != nil {
 		return QueryResult{}, err

@@ -439,6 +439,72 @@ func (ix *Index) staircase(k int) []pair {
 	return st
 }
 
+// Rung is one step of a ladder: the pair (P, Q) and Size = |S*PQ|.
+type Rung struct {
+	P, Q, Size int32
+}
+
+// Ladder returns, in lexicographic (p, q) order, each pair with
+// d(p,q) <= l whose |S*pq| is larger than that of every earlier pair
+// within l. Sizes therefore strictly increase, and FindCluster(s, k, l)
+// is the first k members of Climb(ladder, k): the first qualifying pair
+// of the scan is always a rung.
+func (ix *Index) Ladder(l float64) []Rung {
+	rungs, _ := ix.Ladders([]float64{l})
+	return rungs
+}
+
+// Ladders returns the ladder of every l in ls back to back in one
+// allocation: ladder i is rungs[ends[i-1]:ends[i]], starting at 0 for
+// i = 0. It makes two O(n^2 |ls|) passes over the sized pairs, one to
+// count the rungs and one to write them.
+func (ix *Index) Ladders(ls []float64) (rungs []Rung, ends []int32) {
+	ends = make([]int32, len(ls))
+	scratch := make([]int32, 2*len(ls))
+	best, next := scratch[:len(ls)], scratch[len(ls):]
+	ix.climbPairs(ls, best, func(i int, _ Rung) { ends[i]++ })
+	total := int32(0)
+	for i, c := range ends {
+		next[i] = total
+		total += c
+		ends[i] = total
+	}
+	rungs = make([]Rung, total)
+	clear(best)
+	ix.climbPairs(ls, best, func(i int, r Rung) {
+		rungs[next[i]] = r
+		next[i]++
+	})
+	return rungs, ends
+}
+
+// climbPairs visits the pairs in lexicographic order and calls rung(i, r)
+// for each pair that extends ladder i: d(p,q) <= ls[i] and |S*pq| above
+// best[i], which it raises to the pair's size.
+func (ix *Index) climbPairs(ls []float64, best []int32, rung func(i int, r Rung)) {
+	for p := 0; p < ix.n; p++ {
+		for q := p + 1; q < ix.n; q++ {
+			size, d := ix.lexSizes[p*ix.n+q], ix.space.Dist(p, q)
+			for i, l := range ls {
+				if d <= l && size > best[i] {
+					best[i] = size
+					rung(i, Rung{P: int32(p), Q: int32(q), Size: size})
+				}
+			}
+		}
+	}
+}
+
+// Climb returns the first rung of ladder whose Size is at least k, and
+// false when every rung is smaller.
+func Climb(ladder []Rung, k int) (Rung, bool) {
+	i := sort.Search(len(ladder), func(i int) bool { return int(ladder[i].Size) >= k })
+	if i == len(ladder) {
+		return Rung{}, false
+	}
+	return ladder[i], true
+}
+
 // Epoch reports the membership epoch the index was built at (zero for
 // indexes built with plain NewIndex/NewIndexParallel).
 func (ix *Index) Epoch() uint64 { return ix.epoch }

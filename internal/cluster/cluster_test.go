@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bwcluster/internal/metric"
@@ -378,6 +379,51 @@ func TestFindClusterDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic: %v vs %v", a, b)
+		}
+	}
+}
+
+// The ladder answers every query FindCluster answers: over random tree
+// metrics, for every k in 2..n and every pair distance as l, the first
+// k members of the first rung admitting k are FindCluster's cluster, and
+// the ladder's last rung is MaxClusterSize.
+func TestLadderMatchesFindCluster(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 13, 20} {
+		for seed := int64(1); seed <= 3; seed++ {
+			m := testutil.RandomTreeMetric(n, rand.New(rand.NewSource(seed)))
+			ix, err := NewIndex(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls := m.Values()
+			rungs, ends := ix.Ladders(ls)
+			for i, l := range ls {
+				ladder := ix.Ladder(l)
+				start := int32(0)
+				if i > 0 {
+					start = ends[i-1]
+				}
+				if !slices.Equal(rungs[start:ends[i]], ladder) {
+					t.Fatalf("n=%d seed=%d l=%v: Ladders gives %v, Ladder %v", n, seed, l, rungs[start:ends[i]], ladder)
+				}
+				for j := 1; j < len(ladder); j++ {
+					if ladder[j].Size <= ladder[j-1].Size {
+						t.Fatalf("n=%d seed=%d l=%v: sizes do not increase: %v", n, seed, l, ladder)
+					}
+				}
+				if want, _ := MaxClusterSize(m, l); len(ladder) == 0 || int(ladder[len(ladder)-1].Size) != want {
+					t.Fatalf("n=%d seed=%d l=%v: ladder %v, MaxClusterSize %d", n, seed, l, ladder, want)
+				}
+				for k := 2; k <= n; k++ {
+					want, err := FindCluster(m, k, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := ladderAnswer(m, ladder, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d seed=%d k=%d l=%v: ladder answers %v, FindCluster %v", n, seed, k, l, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,17 +3,20 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"bwcluster/internal/metric"
 	"bwcluster/internal/testutil"
 )
 
 // FuzzFindClusterRepresentations builds every representation of the
 // Algorithm 1 scan from the same fuzzed metric space — the direct
 // sequential scan, the precomputed Index (built sequentially and with
-// work stealing) and its per-k staircase — and asserts they give
-// identical answers. Each case queries one index at a pair distance and
-// just below it, so the second query reuses the table the first built.
+// work stealing), its per-k staircase and its per-l ladder — and
+// asserts they give identical answers. Each case queries one index at a
+// pair distance and just below it, so the second query reuses the table
+// the first built.
 // The determinism contract says the FIRST qualifying pair in
 // lexicographic order answers, so the answers must match element for
 // element, not just set-wise.
@@ -66,6 +69,13 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 			check("Index.Find", indexed, err)
 			ixp, err := ixPar.Find(k, lq)
 			check("Index.Find (parallel-built index)", ixp, err)
+			check("Index.Ladder", ladderAnswer(m, ix.Ladder(lq), k), nil)
+		}
+		// Both classes' ladders in one allocation equal each on its own.
+		below := math.Nextafter(l, math.Inf(-1))
+		rungs, ends := ix.Ladders([]float64{l, below})
+		if !slices.Equal(rungs[:ends[0]], ix.Ladder(l)) || !slices.Equal(rungs[ends[0]:ends[1]], ix.Ladder(below)) {
+			t.Fatalf("Ladders(%v, %v) = %v split at %v, want Ladder of each", l, below, rungs, ends)
 		}
 
 		// The sized-pair tables of both index builds must agree too.
@@ -80,4 +90,14 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 				sz, szPar, ix.MaxSize(l))
 		}
 	})
+}
+
+// ladderAnswer is Algorithm 1's answer read off l's ladder: the first
+// k members of the first rung that admits k, nil when none does.
+func ladderAnswer(m *metric.Matrix, ladder []Rung, k int) []int {
+	r, ok := Climb(ladder, k)
+	if !ok {
+		return nil
+	}
+	return firstMembers(m, int(r.P), int(r.Q), k)
 }

@@ -151,15 +151,11 @@ func (nw *Network) reload() {
 	old := nw.peers
 	nw.peers = make(map[int]*Peer, len(nw.hosts))
 	for _, h := range nw.hosts {
-		nb := nw.sub.AnchorNeighbors(h)
-		p := NewPeer(h, nb)
+		p := NewPeer(h, nw.sub.AnchorNeighbors(h))
 		if prev, ok := old[h]; ok {
-			for _, m := range nb {
-				if v, ok := prev.aggrNode[m]; ok {
-					p.aggrNode[m] = v
-				}
-				if v, ok := prev.aggrCRT[m]; ok {
-					p.aggrCRT[m] = v
+			for i, m := range p.neighbors {
+				if j := prev.slot(m); j >= 0 {
+					p.aggrNode[i], p.aggrCRT[i] = prev.aggrNode[j], prev.aggrCRT[j]
 				}
 			}
 		}
@@ -186,14 +182,14 @@ func (nw *Network) Refresh() {
 func (nw *Network) Resync() {
 	nw.reload()
 	for _, p := range nw.peers {
-		for v, nodes := range p.aggrNode {
+		for i, nodes := range p.aggrNode {
 			kept := nodes[:0]
 			for _, u := range nodes {
 				if nw.dist.Has(u) {
 					kept = append(kept, u)
 				}
 			}
-			p.aggrNode[v] = kept
+			p.aggrNode[i] = kept
 		}
 	}
 }

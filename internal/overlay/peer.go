@@ -60,29 +60,29 @@ func (d *Dist) setRadius(x int, set []int) float64 {
 	return worst
 }
 
-// space returns the predicted metric over hosts, node i being hosts[i].
-// It reads the shared snapshot in place, so a local search costs only the
-// pairs it visits. A host missing from the snapshot is an error.
-func (d *Dist) space(hosts []int) (metric.Space, error) {
-	rows := make([]int, len(hosts))
+// rows returns the snapshot row of every host. A host missing from the
+// snapshot is an error.
+func (d *Dist) rows(hosts []int) ([]int32, error) {
+	rows := make([]int32, len(hosts))
 	for i, h := range hosts {
 		r, ok := d.index[h]
 		if !ok {
 			return nil, fmt.Errorf("overlay: host %d is not in the distance snapshot", h)
 		}
-		rows[i] = r
+		rows[i] = int32(r)
 	}
-	return &spaceView{m: d.m, rows: rows}, nil
+	return rows, nil
 }
 
-// spaceView restricts a snapshot matrix to the rows of a host list.
+// spaceView restricts a snapshot matrix to a list of its rows, reading
+// the shared snapshot in place.
 type spaceView struct {
 	m    *metric.Matrix
-	rows []int
+	rows []int32
 }
 
 func (v *spaceView) N() int                { return len(v.rows) }
-func (v *spaceView) Dist(i, j int) float64 { return v.m.Dist(v.rows[i], v.rows[j]) }
+func (v *spaceView) Dist(i, j int) float64 { return v.m.Dist(int(v.rows[i]), int(v.rows[j])) }
 
 // Peer is one host's protocol state together with the per-peer rules of
 // Algorithms 2–4 over it. It holds no locks, clocks or transport: the
@@ -91,10 +91,22 @@ func (v *spaceView) Dist(i, j int) float64 { return v.m.Dist(v.rows[i], v.rows[j
 // own locking. Rules that update state report whether it changed.
 type Peer struct {
 	id        int
-	neighbors []int         // anchor-tree adjacency, sorted
-	aggrNode  map[int][]int // neighbor -> propagated close nodes
-	aggrCRT   map[int][]int // neighbor -> per-class max cluster size
-	selfCRT   []int         // per-class max cluster size of own space
+	neighbors []int   // anchor-tree adjacency, sorted
+	aggrNode  [][]int // [i]: close nodes propagated by neighbors[i]
+	aggrCRT   [][]int // [i]: per-class max cluster size via neighbors[i]
+	selfCRT   []int   // per-class max cluster size of own space
+	table     ladderTable
+}
+
+// ladderTable is what RecomputeSelfCRT keeps for QueryHop: V_p's snapshot
+// rows and its cluster.Ladder for every class, tagged with the snapshot
+// and classes it was built from. Every change to V_p clears it.
+type ladderTable struct {
+	dist    *Dist // nil: no table
+	classes []float64
+	rows    []int32        // V_p's snapshot rows, in host-id order
+	rungs   []cluster.Rung // every class's ladder back to back; P and Q index rows
+	ends    []int32        // class ci's ladder ends at rungs[ends[ci]]
 }
 
 // NewPeer returns host id's empty protocol state over the given
@@ -104,19 +116,36 @@ func NewPeer(id int, neighbors []int) *Peer {
 	return &Peer{
 		id:        id,
 		neighbors: neighbors,
-		aggrNode:  make(map[int][]int, len(neighbors)),
-		aggrCRT:   make(map[int][]int, len(neighbors)),
+		aggrNode:  make([][]int, len(neighbors)),
+		aggrCRT:   make([][]int, len(neighbors)),
 	}
+}
+
+// slot returns v's position in p.neighbors, -1 when v is not a neighbor.
+func (p *Peer) slot(v int) int {
+	if i, ok := slices.BinarySearch(p.neighbors, v); ok {
+		return i
+	}
+	return -1
 }
 
 // Neighbors returns a copy of p's overlay neighbors, sorted.
 func (p *Peer) Neighbors() []int { return copyInts(p.neighbors) }
 
-// AggrNode returns a copy of p.aggrNode[m].
-func (p *Peer) AggrNode(m int) []int { return copyInts(p.aggrNode[m]) }
+// AggrNode returns a copy of the node info p holds from neighbor m.
+func (p *Peer) AggrNode(m int) []int { return p.copyEntry(p.aggrNode, m) }
 
-// CRT returns a copy of p.aggrCRT[m].
-func (p *Peer) CRT(m int) []int { return copyInts(p.aggrCRT[m]) }
+// CRT returns a copy of the CRT entry p holds from neighbor m.
+func (p *Peer) CRT(m int) []int { return p.copyEntry(p.aggrCRT, m) }
+
+// copyEntry copies neighbor m's entry of xs (aggrNode or aggrCRT), empty
+// when m is not a neighbor.
+func (p *Peer) copyEntry(xs [][]int, m int) []int {
+	if i := p.slot(m); i >= 0 {
+		return copyInts(xs[i])
+	}
+	return []int{}
+}
 
 // SelfCRT returns a copy of p's own per-class maximum cluster sizes.
 func (p *Peer) SelfCRT() []int { return copyInts(p.selfCRT) }
@@ -138,12 +167,12 @@ func (p *Peer) PropNode(x int, d *Dist, nCut int) []int {
 	for i, u := range ids {
 		keys[i] = distKey{d: d.Between(x, u), id: u}
 	}
-	slices.SortFunc(keys, compareDistKeys)
+	keys = nearest(keys, nCut)
 	// The receiver stores the message, so it is a right-sized slice of
 	// its own.
-	out := make([]int, min(nCut, len(keys)))
-	for i := range out {
-		out[i] = keys[i].id
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = k.id
 	}
 	slices.Sort(out) // canonical storage order
 	return out
@@ -167,17 +196,53 @@ func compareDistKeys(a, b distKey) int {
 	}
 }
 
+// nearest returns the n smallest keys in compareDistKeys order, in no
+// particular order. It is a quickselect: keys are partitioned in place
+// around their middle key until position n splits them, O(len(keys))
+// expected instead of a full sort. The key is unique per host, so the n
+// smallest are one set whatever the pivots.
+func nearest(keys []distKey, n int) []distKey {
+	if n >= len(keys) {
+		return keys
+	}
+	less := func(i, j int) bool { return compareDistKeys(keys[i], keys[j]) < 0 }
+	// keys[:lo] precede keys[lo:hi+1], which precede keys[hi+1:], and
+	// position n lies in [lo, hi].
+	lo, hi := 0, len(keys)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		keys[mid], keys[hi] = keys[hi], keys[mid] // the pivot
+		at := lo
+		for j := lo; j < hi; j++ {
+			if less(j, hi) {
+				keys[at], keys[j] = keys[j], keys[at]
+				at++
+			}
+		}
+		keys[at], keys[hi] = keys[hi], keys[at]
+		switch {
+		case at < n:
+			lo = at + 1
+		case at > n:
+			hi = at - 1
+		default:
+			return keys[:n]
+		}
+	}
+	return keys[:n]
+}
+
 // PropCRT computes the Algorithm 3 message p sends to neighbor x: p's
 // self CRT max-merged, class by class, with the CRT entry of every other
 // neighbor (split horizon).
 func (p *Peer) PropCRT(x, nClasses int) []int {
 	crt := make([]int, nClasses)
 	copy(crt, p.selfCRT)
-	for _, v := range p.neighbors {
+	for i, v := range p.neighbors {
 		if v == x {
 			continue
 		}
-		for ci, size := range p.aggrCRT[v] {
+		for ci, size := range p.aggrCRT[i] {
 			if size > crt[ci] {
 				crt[ci] = size
 			}
@@ -187,22 +252,27 @@ func (p *Peer) PropCRT(x, nClasses int) []int {
 }
 
 // SetAggrNode stores the Algorithm 2 message from neighbor from and
-// reports whether it changed p's state.
+// reports whether it changed p's state. A message from a host that is not
+// a neighbor (a late one over a link Splice removed) changes nothing.
 func (p *Peer) SetAggrNode(from int, nodes []int) bool {
-	if slices.Equal(p.aggrNode[from], nodes) {
+	i := p.slot(from)
+	if i < 0 || slices.Equal(p.aggrNode[i], nodes) {
 		return false
 	}
-	p.aggrNode[from] = nodes
+	p.aggrNode[i] = nodes
+	p.table = ladderTable{}
 	return true
 }
 
 // SetAggrCRT stores the Algorithm 3 message from neighbor from and
-// reports whether it changed p's state.
+// reports whether it changed p's state. Like SetAggrNode, it ignores a
+// host that is not a neighbor.
 func (p *Peer) SetAggrCRT(from int, crt []int) bool {
-	if slices.Equal(p.aggrCRT[from], crt) {
+	i := p.slot(from)
+	if i < 0 || slices.Equal(p.aggrCRT[i], crt) {
 		return false
 	}
-	p.aggrCRT[from] = crt
+	p.aggrCRT[i] = crt
 	return true
 }
 
@@ -213,9 +283,9 @@ func (p *Peer) clusteringSpace() []int { return p.nodes(-1) }
 // nodes returns {p} ∪ ⋃_{v≠skip} p.aggrNode[v], sorted and deduplicated.
 func (p *Peer) nodes(skip int) []int {
 	out := []int{p.id}
-	for _, v := range p.neighbors {
+	for i, v := range p.neighbors {
 		if v != skip {
-			out = append(out, p.aggrNode[v]...)
+			out = append(out, p.aggrNode[i]...)
 		}
 	}
 	slices.Sort(out)
@@ -224,9 +294,11 @@ func (p *Peer) nodes(skip int) []int {
 
 // RecomputeSelfCRT evaluates p's clustering space against every class
 // (the first half of Algorithm 3) and reports whether p's self CRT
-// changed.
+// changed. From the same index it keeps every class's ladder, so that
+// QueryHop answers local searches over d without a scan.
 func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
-	s, err := d.space(p.clusteringSpace())
+	p.table = ladderTable{}
+	rows, err := d.rows(p.clusteringSpace())
 	if err != nil {
 		return false, err
 	}
@@ -234,7 +306,8 @@ func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
 	// *metric.Matrix copy it reads whole rows as slices, ~5× faster
 	// than through the view, copy included (every peer of a 512-host
 	// network, 2-vCPU host: median 65 ms copy vs 319 ms view).
-	ix, err := cluster.NewIndex(metric.FromFunc(s.N(), s.Dist))
+	view := &spaceView{m: d.m, rows: rows}
+	ix, err := cluster.NewIndex(metric.FromFunc(view.N(), view.Dist))
 	if err != nil {
 		return false, err
 	}
@@ -242,9 +315,55 @@ func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
 	for ci, l := range classes {
 		selfCRT[ci] = ix.MaxSize(l)
 	}
+	rungs, ends := ix.Ladders(classes)
+	p.table = ladderTable{dist: d, classes: classes, rows: rows, rungs: rungs, ends: ends}
 	changed := !slices.Equal(p.selfCRT, selfCRT)
 	p.selfCRT = selfCRT
 	return changed, nil
+}
+
+// TableCurrent reports whether p holds the local-search table for
+// snapshot d and these classes, built over p's current clustering space.
+// While it does, QueryHop answers without a scan; once the space or the
+// snapshot moves, the next RecomputeSelfCRT rebuilds it.
+func (p *Peer) TableCurrent(d *Dist, classes []float64) bool {
+	return p.table.dist != nil && p.table.dist == d && slices.Equal(p.table.classes, classes)
+}
+
+// answers reports whether t answers a local search for k in class
+// classIdx (diameter classL) over snapshot d. A k below 2 is left to the
+// scan, which rejects it.
+func (t *ladderTable) answers(d *Dist, k, classIdx int, classL float64) bool {
+	return t.dist != nil && t.dist == d && k >= 2 &&
+		classIdx < len(t.classes) && t.classes[classIdx] == classL
+}
+
+// find returns what Algorithm 1 over V_p returns for k in class ci: the
+// first rung of ci's ladder that admits k names the pair (P, Q), and one
+// pass over V_p's rows, reading snapshot rows P and Q, collects the
+// first k members of S*PQ in host-id order.
+func (t *ladderTable) find(d *Dist, k, ci int) []int {
+	start := int32(0)
+	if ci > 0 {
+		start = t.ends[ci-1]
+	}
+	r, ok := cluster.Climb(t.rungs[start:t.ends[ci]], k)
+	if !ok {
+		return nil
+	}
+	q := t.rows[r.Q]
+	rowP, rowQ := d.m.Row(int(t.rows[r.P])), d.m.Row(int(q))
+	dpq := rowP[q]
+	members := make([]int, 0, k)
+	for _, x := range t.rows {
+		if max(rowP[x], rowQ[x]) <= dpq {
+			members = append(members, d.hosts[x])
+			if len(members) == k {
+				break
+			}
+		}
+	}
+	return members
 }
 
 // Hop is the outcome of one Algorithm 4 step at a peer.
@@ -266,42 +385,58 @@ type Hop struct {
 // class classIdx (diameter classL) that arrived from prev (-1 at the
 // start peer): run Algorithm 1 over the local clustering space when the
 // self CRT admits k, and when that finds no cluster pick the first
-// neighbor other than prev whose CRT entry admits k. A local-search error
-// ends the step.
+// neighbor other than prev whose CRT entry admits k. The local search
+// reads p's ladder table when it is current for d and the class, and
+// scans V_p otherwise, with the same answer. A local-search error ends
+// the step.
 func (p *Peer) QueryHop(d *Dist, k, classIdx int, classL float64, prev int) (Hop, error) {
 	hop := Hop{Next: -1}
 	if len(p.selfCRT) > classIdx {
 		hop.SelfMax = p.selfCRT[classIdx]
 	}
 	if k <= hop.SelfMax {
-		ids := p.clusteringSpace()
-		hop.Space = len(ids)
-		s, err := d.space(ids)
-		var sel []int
-		if err == nil {
-			sel, err = cluster.FindCluster(s, k, classL)
+		var err error
+		if p.table.answers(d, k, classIdx, classL) {
+			hop.Space, hop.Members = len(p.table.rows), p.table.find(d, k, classIdx)
+		} else {
+			hop.Space, hop.Members, err = p.scan(d, k, classL)
 		}
 		if err != nil {
 			return hop, fmt.Errorf("overlay: local clustering at %d: %w", p.id, err)
 		}
-		if sel != nil {
-			hop.Members = make([]int, len(sel))
-			for i, s := range sel {
-				hop.Members[i] = ids[s]
-			}
+		if hop.Members != nil {
 			return hop, nil
 		}
 	}
-	for _, v := range p.neighbors {
+	for i, v := range p.neighbors {
 		if v == prev {
 			continue
 		}
-		if crt := p.aggrCRT[v]; len(crt) > classIdx && k <= crt[classIdx] {
+		if crt := p.aggrCRT[i]; len(crt) > classIdx && k <= crt[classIdx] {
 			hop.Next, hop.Promise = v, crt[classIdx]
 			break
 		}
 	}
 	return hop, nil
+}
+
+// scan runs Algorithm 1 over V_p, reading the snapshot in place. It
+// returns |V_p| and the answer's host ids, nil when there is none.
+func (p *Peer) scan(d *Dist, k int, l float64) (int, []int, error) {
+	ids := p.clusteringSpace()
+	rows, err := d.rows(ids)
+	if err != nil {
+		return len(ids), nil, err
+	}
+	sel, err := cluster.FindCluster(&spaceView{m: d.m, rows: rows}, k, l)
+	if err != nil || sel == nil {
+		return len(ids), nil, err
+	}
+	members := make([]int, len(sel))
+	for i, s := range sel {
+		members[i] = ids[s]
+	}
+	return len(ids), members, nil
 }
 
 // ClimbHop runs one step of the single-node hill-climb for a search that
@@ -325,8 +460,8 @@ func (p *Peer) ClimbHop(d *Dist, set []int, prev, best int, radius float64) (int
 		}
 	}
 	consider(p.id, -1)
-	for _, v := range p.neighbors {
-		for _, u := range p.aggrNode[v] {
+	for i, v := range p.neighbors {
+		for _, u := range p.aggrNode[i] {
 			consider(u, v)
 		}
 	}
@@ -339,9 +474,15 @@ func (p *Peer) ClimbHop(d *Dist, set []int, prev, best int, radius float64) (int
 // Splice applies the healing rule at p when its neighbor h departs.
 // survivors are h's surviving neighbors, sorted; the lowest-id one is the
 // hub every other survivor links to, which keeps the overlay a tree. p
-// drops its link to h and returns the neighbors it gained.
+// drops its link to h, with h's entries, and returns the neighbors it
+// gained.
 func (p *Peer) Splice(h int, survivors []int) []int {
-	p.neighbors = removeSorted(p.neighbors, h)
+	if i := p.slot(h); i >= 0 {
+		p.neighbors = slices.Delete(p.neighbors, i, i+1)
+		p.aggrNode = slices.Delete(p.aggrNode, i, i+1)
+		p.aggrCRT = slices.Delete(p.aggrCRT, i, i+1)
+	}
+	p.table = ladderTable{}
 	if len(survivors) == 0 {
 		return nil
 	}
@@ -350,38 +491,30 @@ func (p *Peer) Splice(h int, survivors []int) []int {
 		gained = survivors[1:]
 	}
 	for _, v := range gained {
-		p.neighbors = insertSorted(p.neighbors, v)
+		p.Link(v)
 	}
 	return gained
 }
 
-// Link adds v to p's neighbors (a host joined under p's anchor).
-func (p *Peer) Link(v int) { p.neighbors = insertSorted(p.neighbors, v) }
+// Link adds v to p's neighbors (a host joined under p's anchor), with no
+// node info or CRT entry from it yet.
+func (p *Peer) Link(v int) {
+	p.table = ladderTable{}
+	i, ok := slices.BinarySearch(p.neighbors, v)
+	if ok {
+		return
+	}
+	p.neighbors = slices.Insert(p.neighbors, i, v)
+	p.aggrNode = slices.Insert(p.aggrNode, i, nil)
+	p.aggrCRT = slices.Insert(p.aggrCRT, i, nil)
+}
 
 // Reset purges p's aggregation state. Survivors of a departure reset
 // because any entry may transitively contain the departed host; the
 // protocol rebuilds the state from scratch.
 func (p *Peer) Reset() {
-	p.aggrNode = make(map[int][]int, len(p.neighbors))
-	p.aggrCRT = make(map[int][]int, len(p.neighbors))
+	clear(p.aggrNode)
+	clear(p.aggrCRT)
 	p.selfCRT = nil
-}
-
-func removeSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return append(xs[:i], xs[i+1:]...)
-	}
-	return xs
-}
-
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	if i < len(xs) && xs[i] == v {
-		return xs
-	}
-	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
+	p.table = ladderTable{}
 }

@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -15,18 +17,28 @@ import (
 	"bwcluster/internal/testutil"
 )
 
-func TestInsertSorted(t *testing.T) {
-	got := insertSorted([]int{1, 3, 5}, 4)
-	want := []int{1, 3, 4, 5}
-	if !slices.Equal(got, want) {
-		t.Errorf("got %v, want %v", got, want)
+// Link and Splice keep the neighbors sorted and every entry at its
+// neighbor's position, and linking a neighbor twice changes nothing.
+func TestPeerLink(t *testing.T) {
+	p := NewPeer(0, []int{5, 1, 3})
+	p.SetAggrNode(3, []int{30})
+	p.SetAggrNode(5, []int{50})
+	p.SetAggrCRT(5, []int{55})
+	p.Link(4)
+	p.Link(3)
+	if got := p.Neighbors(); !slices.Equal(got, []int{1, 3, 4, 5}) {
+		t.Errorf("neighbors %v, want [1 3 4 5]", got)
 	}
-	if got := insertSorted([]int{1, 3}, 3); !slices.Equal(got, []int{1, 3}) {
-		t.Errorf("duplicate insert: %v", got)
+	check := func(when string) {
+		t.Helper()
+		got := fmt.Sprint(p.AggrNode(3), p.AggrNode(4), p.AggrNode(5), p.CRT(4), p.CRT(5))
+		if want := "[30] [] [50] [] [55]"; got != want {
+			t.Errorf("%s: node info of 3, 4, 5 and CRTs of 4, 5 are %s, want %s", when, got, want)
+		}
 	}
-	if got := insertSorted(nil, 2); !slices.Equal(got, []int{2}) {
-		t.Errorf("empty insert: %v", got)
-	}
+	check("after Link")
+	p.Splice(1, nil)
+	check("after Splice")
 }
 
 // The splice rule links every survivor of a departed host to the
@@ -49,6 +61,43 @@ func TestPeerSplice(t *testing.T) {
 	}
 	if got := NewPeer(4, []int{3}).Splice(3, nil); len(got) != 0 {
 		t.Errorf("no survivors: gained %v", got)
+	}
+}
+
+// Gossip from a host that is not a neighbor, such as a late message over
+// a link Splice removed, is dropped: the setters report no change, store
+// nothing and keep the local-search table.
+func TestSetAggrIgnoresNonNeighbors(t *testing.T) {
+	m := metric.FromFunc(4, func(i, j int) float64 { return float64(i + j) })
+	d := &Dist{m: m, hosts: []int{0, 1, 2, 3}, index: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}}
+	classes := []float64{10}
+	p := NewPeer(0, []int{1, 2})
+	p.SetAggrNode(1, []int{1, 3})
+	p.SetAggrNode(2, []int{2})
+	p.Splice(2, nil)
+	if _, err := p.RecomputeSelfCRT(d, classes); err != nil {
+		t.Fatal(err)
+	}
+	space := p.clusteringSpace()
+	for _, from := range []int{2, 3} {
+		if p.SetAggrNode(from, []int{2, 3}) {
+			t.Errorf("SetAggrNode from non-neighbor %d reported a change", from)
+		}
+		if p.SetAggrCRT(from, []int{4}) {
+			t.Errorf("SetAggrCRT from non-neighbor %d reported a change", from)
+		}
+		if got := p.AggrNode(from); len(got) != 0 {
+			t.Errorf("node info from non-neighbor %d stored: %v", from, got)
+		}
+	}
+	if got := p.clusteringSpace(); !slices.Equal(got, space) {
+		t.Errorf("clustering space %v after non-neighbor gossip, want %v", got, space)
+	}
+	if !p.TableCurrent(d, classes) {
+		t.Error("non-neighbor gossip cleared the local-search table")
+	}
+	if !p.SetAggrNode(1, []int{1}) || p.TableCurrent(d, classes) {
+		t.Error("a neighbor's new node info must be stored and clear the table")
 	}
 }
 
@@ -84,6 +133,14 @@ func checkAgainstMaterialized(t *testing.T, p *Peer, d *Dist, ids []int, copied 
 	if want, _ := cluster.MaxClusterSize(copied, l); p.selfCRT[ci] != want {
 		t.Fatalf("peer %d class %v: self CRT %d, copy gives %d", p.id, l, p.selfCRT[ci], want)
 	}
+	checkHop(t, p, d, ids, copied, k, ci, l)
+}
+
+// checkHop asserts that p's local search for (k, ci) over d equals
+// Algorithm 1 over copied, a copy of p's current clustering space ids,
+// whenever p's self CRT, current or stale, admits k.
+func checkHop(t *testing.T, p *Peer, d *Dist, ids []int, copied *metric.Matrix, k, ci int, l float64) {
+	t.Helper()
 	hop, err := p.QueryHop(d, k, ci, l, -1)
 	if err != nil {
 		t.Fatalf("peer %d k=%d l=%v: %v", p.id, k, l, err)
@@ -164,31 +221,133 @@ func TestPropNodeTiesAndMissingHosts(t *testing.T) {
 	}
 }
 
-// The local search reads the snapshot in place; its answers and the self
-// CRT must equal Algorithm 1 over a materialized copy of the space, for
-// every peer, every class and k = 2..16.
+// A converged peer answers its local searches from its ladder table; the
+// answers and the self CRT must equal Algorithm 1 over a materialized copy
+// of the space, for every peer, every class and k = 2..16. So must the
+// hops in the two states the table does not describe (checkStaleHops).
 func TestQueryHopMatchesMaterializedSpace(t *testing.T) {
 	cfg := Config{NCut: DefaultNCut, Classes: classSpread()}
+	ks := make([]int, 0, 15)
+	for k := 2; k <= 16; k++ {
+		ks = append(ks, k)
+	}
 	for _, n := range []int{64, 190} {
 		for seed := int64(1); seed <= 3; seed++ {
 			nw, _, _ := buildNetwork(t, n, 0.2, cfg, seed)
+			rng := rand.New(rand.NewSource(seed))
 			for _, h := range nw.Hosts() {
 				p := nw.peers[h]
+				if !p.TableCurrent(nw.dist, cfg.Classes) {
+					t.Fatalf("converged peer %d has no current table", h)
+				}
 				ids := p.clusteringSpace()
 				copied := materialize(nw.dist, ids)
 				for ci, l := range cfg.Classes {
-					for k := 2; k <= 16; k++ {
+					for _, k := range ks {
 						checkAgainstMaterialized(t, p, nw.dist, ids, copied, k, ci, l)
 					}
 				}
+				checkStaleHops(t, p, nw.dist, cfg.Classes, ks, rng)
 			}
 		}
 	}
 }
 
-// A hop that finds a cluster allocates in proportion to |V_p|: the local
-// search reads the snapshot in place, so an |V_p|² copy cannot come back
-// unnoticed. The hub of this network has a 129-host clustering space.
+// checkStaleHops checks p's local searches in the two states its table
+// does not describe, each against Algorithm 1 over a copy of the current
+// space: over a swapped snapshot, and after new node info from a
+// neighbor with no recompute. It leaves p's node info changed.
+func checkStaleHops(t *testing.T, p *Peer, d *Dist, classes []float64, ks []int, rng *rand.Rand) {
+	t.Helper()
+	ids := p.clusteringSpace()
+	swapped := permuted(d, rng)
+	copied := materialize(swapped, ids)
+	for ci, l := range classes {
+		for _, k := range ks {
+			checkHop(t, p, swapped, ids, copied, k, ci, l)
+		}
+	}
+	// Drop the lowest id of the largest node-info entry.
+	big := -1
+	for i, nodes := range p.aggrNode {
+		if len(nodes) > 0 && (big < 0 || len(nodes) > len(p.aggrNode[big])) {
+			big = i
+		}
+	}
+	if big < 0 {
+		return
+	}
+	p.SetAggrNode(p.neighbors[big], p.aggrNode[big][1:])
+	if p.TableCurrent(d, classes) {
+		t.Fatalf("peer %d: table still current after new node info", p.id)
+	}
+	ids = p.clusteringSpace()
+	copied = materialize(d, ids)
+	for ci, l := range classes {
+		for _, k := range ks {
+			checkHop(t, p, d, ids, copied, k, ci, l)
+		}
+	}
+}
+
+// permuted returns another snapshot of d's hosts: rows in another order
+// and every distance scaled by 1.5, so a table built over d would read
+// the wrong rows and the wrong distances in it.
+func permuted(d *Dist, rng *rand.Rand) *Dist {
+	n := len(d.hosts)
+	perm := rng.Perm(n)
+	out := &Dist{hosts: make([]int, n), index: make(map[int]int, n)}
+	for i, r := range perm {
+		out.hosts[i] = d.hosts[r]
+		out.index[out.hosts[i]] = i
+	}
+	out.m = metric.FromFunc(n, func(i, j int) float64 { return 1.5 * d.m.Dist(perm[i], perm[j]) })
+	return out
+}
+
+// A converged network answers every local search from the tables: with
+// the snapshot's host index gone, a scan could not map V_p to rows and
+// would fail, yet every query from every host still gets its answer.
+func TestConvergedNetworkAnswersFromTables(t *testing.T) {
+	cfg := Config{NCut: DefaultNCut, Classes: classSpread()}
+	nw, _, _ := buildNetwork(t, 120, 0.2, cfg, 4)
+	type query struct {
+		start, k int
+		l        float64
+	}
+	want := make(map[query]Result)
+	for _, h := range nw.Hosts() {
+		for _, l := range cfg.Classes {
+			for k := 2; k <= 12; k++ {
+				res, err := nw.Query(h, k, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[query{h, k, l}] = res
+			}
+		}
+	}
+	nw.dist.index = nil
+	found := 0
+	for q, w := range want {
+		got, err := nw.Query(q.start, q.k, q.l)
+		if err != nil {
+			t.Fatalf("query %+v scanned: %v", q, err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("query %+v: %+v, want %+v", q, got, w)
+		}
+		if got.Found() {
+			found++
+		}
+	}
+	if found == 0 {
+		t.Fatal("no query found a cluster; the test exercises nothing")
+	}
+}
+
+// A converged hub's hop reads its ladder table and allocates only the
+// k-member answer: no copy of V_p, no row list, no scan.
 func TestQueryHopAllocatesLinearInSpace(t *testing.T) {
 	cfg := Config{NCut: DefaultNCut, Classes: classSpread()}
 	nw, _, _ := buildNetwork(t, 190, 0.2, cfg, 1)
@@ -198,11 +357,13 @@ func TestQueryHopAllocatesLinearInSpace(t *testing.T) {
 			hub = p
 		}
 	}
+	// The tightest class with a cluster of 2 or more keeps k well below
+	// |V_p|, so a copy of V_p would break the bound.
 	m := len(hub.clusteringSpace())
-	ci := len(cfg.Classes) - 1
-	k := hub.selfCRT[ci]
-	if m < 64 || k < 2 {
-		t.Fatalf("hub %d: space %d, max cluster %d; the guard needs a large space and a findable cluster", hub.id, m, k)
+	ci := slices.IndexFunc(hub.selfCRT, func(size int) bool { return size >= 2 })
+	k := hub.selfCRT[max(ci, 0)]
+	if m < 64 || ci < 0 || 4*k > m {
+		t.Fatalf("hub %d: space %d, max clusters %v; the guard needs a large space and a small findable cluster", hub.id, m, hub.selfCRT)
 	}
 	const calls = 100
 	var before, after runtime.MemStats
@@ -214,13 +375,15 @@ func TestQueryHopAllocatesLinearInSpace(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perHop := (after.TotalAlloc - before.TotalAlloc) / calls
-	if bound := uint64(64*(m+k) + 1024); perHop > bound {
-		t.Errorf("hub %d: a hop over %d hosts allocates %d B, want at most %d (linear in the space)", hub.id, m, perHop, bound)
+	// The answer is k ints; the slack covers size-class rounding.
+	if bound := uint64(9*k + 64); perHop > bound {
+		t.Errorf("hub %d: a hop over %d hosts allocates %d B, want at most %d (the %d-member answer)", hub.id, m, perHop, bound, k)
 	}
 }
 
-// FuzzQueryHopMatchesMaterialized makes the same comparison over a small
-// fuzzed tree metric, at one peer for one k and one class.
+// FuzzQueryHopMatchesMaterialized makes the same comparisons, current
+// table and both stale states, over a small fuzzed tree metric, at one
+// peer for one k and one class.
 func FuzzQueryHopMatchesMaterialized(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(3), uint8(0), uint8(2), uint8(4))
 	f.Add(int64(-5), uint8(255), uint8(255), uint8(255), uint8(255), uint8(255))
@@ -243,6 +406,8 @@ func FuzzQueryHopMatchesMaterialized(f *testing.F) {
 		p := nw.peers[hosts[int(peerRaw)%len(hosts)]]
 		ids := p.clusteringSpace()
 		ci := int(classRaw) % len(cfg.Classes)
-		checkAgainstMaterialized(t, p, nw.dist, ids, materialize(nw.dist, ids), 2+int(kRaw)%15, ci, cfg.Classes[ci])
+		k := 2 + int(kRaw)%15
+		checkAgainstMaterialized(t, p, nw.dist, ids, materialize(nw.dist, ids), k, ci, cfg.Classes[ci])
+		checkStaleHops(t, p, nw.dist, cfg.Classes, []int{k}, rand.New(rand.NewSource(seed)))
 	})
 }

@@ -208,7 +208,6 @@ func (rt *Runtime) AddHost(h int, o predtree.Oracle) error {
 			q.mu.Lock()
 			q.core.Link(h)
 			q.lastGossip[h] = now // fresh link; age the watermark from now
-			q.dirty = true
 			q.mu.Unlock()
 			rt.version.Add(1)
 		}

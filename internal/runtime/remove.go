@@ -72,7 +72,6 @@ func (rt *Runtime) spliceOutHost(h int) error {
 	for _, q := range rt.peers {
 		q.mu.Lock()
 		q.core.Reset()
-		q.dirty = true
 		q.mu.Unlock()
 	}
 	rt.version.Add(1)
@@ -158,7 +157,6 @@ func (rt *Runtime) repairOutHost(dyn RemovableSubstrate, h int) error {
 		}
 		q.core = overlay.NewPeer(id, nb)
 		q.lastGossip = last
-		q.dirty = true
 		q.mu.Unlock()
 	}
 	rt.version.Add(1)

@@ -164,7 +164,6 @@ type peer struct {
 
 	mu         lockcheck.Mutex
 	core       *overlay.Peer  // guarded by mu; the protocol state and rules
-	dirty      bool           // V_x changed since the self CRT was computed
 	lastGossip map[int]uint64 // guarded by mu; monitor tick of each neighbor's last gossip
 }
 
@@ -261,7 +260,6 @@ func (rt *Runtime) newPeer(id int, neighbors []int) (*peer, error) {
 		done:       make(chan struct{}),
 		lossRng:    rand.New(rand.NewSource(int64(id)*7919 + 1)),
 		core:       overlay.NewPeer(id, neighbors),
-		dirty:      true,
 		lastGossip: last,
 	}
 	p.mu.SetClass("runtime.peer.mu")
@@ -392,7 +390,6 @@ func (p *peer) handle(m transport.Message) {
 		p.mu.Lock()
 		p.lastGossip[m.From] = now
 		if p.core.SetAggrNode(m.From, m.Nodes) {
-			p.dirty = true
 			p.rt.version.Add(1)
 		}
 		p.mu.Unlock()
@@ -459,16 +456,19 @@ func (p *peer) gossip() {
 	}
 }
 
-// refreshSelfCRTLocked recomputes the self CRT if the clustering space
-// changed since it was last computed, bumping the version and noting the
-// work in the flight recorder when the CRT moves.
+// refreshSelfCRTLocked recomputes the self CRT, and with it the
+// local-search table, unless the table is current: built over d and the
+// present clustering space. Every change to the space clears the table,
+// and AddHost swaps d for every peer, not only for the anchor it links.
+// It bumps the version and notes the work in the flight recorder when
+// the CRT moves.
 func (p *peer) refreshSelfCRTLocked(d *overlay.Dist) {
-	if !p.dirty {
+	if p.core.TableCurrent(d, p.rt.cfg.Classes) {
 		return
 	}
-	p.dirty = false
 	// This fails only while the space names a host a departure removed
-	// from the snapshot; the repair then resets the core and marks it dirty.
+	// from the snapshot. The table stays cleared, so the next call, after
+	// the repair has reset the core, tries again.
 	if changed, _ := p.core.RecomputeSelfCRT(d, p.rt.cfg.Classes); changed {
 		p.rt.version.Add(1)
 		// Gossip-triggered work, visible in the black box: the peer's

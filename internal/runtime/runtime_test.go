@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/predtree"
 	"bwcluster/internal/testutil"
+	"bwcluster/internal/transport"
 )
 
 const (
@@ -213,6 +215,95 @@ func TestAddHostMidFlight(t *testing.T) {
 	}
 	if err := rt.AddHost(8, o); err == nil {
 		t.Error("re-adding host should fail")
+	}
+}
+
+// Every settled peer answers its local searches from a ladder table over
+// the current snapshot, also after AddHost, which swaps the snapshot for
+// every peer but links only the new host's anchor. The check is the
+// predicate refreshSelfCRTLocked rebuilds by.
+func TestSettledTablesMatchSnapshot(t *testing.T) {
+	o := testutil.RandomTreeMetric(14, rand.New(rand.NewSource(6)))
+	tree, err := predtree.Build(o, 100, predtree.SearchFull, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(tree, testConfig(), testTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	checkTables := func(when string) {
+		t.Helper()
+		if err := rt.Settle(settleQuiet, settleMax); err != nil {
+			t.Fatal(err)
+		}
+		d := rt.table.Load()
+		for _, h := range rt.Hosts() {
+			p := rt.peerByID(h)
+			p.mu.Lock()
+			current := p.core.TableCurrent(d, rt.cfg.Classes)
+			p.mu.Unlock()
+			if !current {
+				t.Fatalf("%s: peer %d has no table over the current snapshot", when, h)
+			}
+		}
+	}
+	checkTables("settled")
+	for _, h := range []int{12, 13} {
+		before := rt.table.Load()
+		if err := rt.AddHost(h, o); err != nil {
+			t.Fatal(err)
+		}
+		if rt.table.Load() == before {
+			t.Fatal("AddHost kept the old snapshot")
+		}
+		checkTables(fmt.Sprintf("after AddHost(%d)", h))
+	}
+}
+
+// Gossip from a host that is not a neighbor, such as a late message over
+// a link a departure spliced away, changes nothing: the peer keeps its
+// local-search table, so it recomputes nothing, and the version Settle's
+// quiet window watches stays put.
+func TestNonNeighborGossipKeepsVersion(t *testing.T) {
+	tree, _ := buildTree(t, 12, 0.2, 9)
+	rt, err := New(tree, testConfig(), testTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Stop()
+	if err := rt.Settle(settleQuiet, settleMax); err != nil {
+		t.Fatal(err)
+	}
+	id := rt.Hosts()[0]
+	stranger := -1
+	for _, h := range rt.Hosts() {
+		if h != id && !slices.Contains(rt.Neighbors(id), h) {
+			stranger = h
+			break
+		}
+	}
+	if stranger < 0 {
+		t.Fatalf("host %d neighbors every other host", id)
+	}
+	p := rt.peerByID(id)
+	version := rt.Version()
+	p.handle(transport.Message{Kind: transport.KindNodeInfo, From: stranger, To: id, Nodes: []int{stranger}})
+	p.handle(transport.Message{Kind: transport.KindCRT, From: stranger, To: id, CRT: []int{99, 99, 99, 99, 99, 99, 99}})
+	if got := rt.Version(); got != version {
+		t.Errorf("version moved %d -> %d on gossip from non-neighbor %d", version, got, stranger)
+	}
+	p.mu.Lock()
+	current := p.core.TableCurrent(rt.table.Load(), rt.cfg.Classes)
+	p.mu.Unlock()
+	if !current {
+		t.Errorf("gossip from non-neighbor %d cleared peer %d's table", stranger, id)
+	}
+	if got := rt.AggrNode(id, stranger); len(got) != 0 {
+		t.Errorf("peer %d stored node info %v from non-neighbor %d", id, got, stranger)
 	}
 }
 

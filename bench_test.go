@@ -133,11 +133,7 @@ func BenchmarkClusterIndexBuild(b *testing.B) {
 // classes, the prediction forest and its distance matrix, the cluster
 // index, and the overlay converged.
 func BenchmarkNew(b *testing.B) {
-	bw := benchBandwidth(b, 512)
-	raw := make([][]float64, bw.N())
-	for i := range raw {
-		raw[i] = slices.Clone(bw.Row(i))
-	}
+	raw := benchRaw(b, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -145,6 +141,38 @@ func BenchmarkNew(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoad measures what a replica pays to restore BenchmarkNew's
+// system from its snapshot: decoding the forest and measurements, then
+// rebuilding the prediction matrix, cluster index and converged overlay.
+func BenchmarkLoad(b *testing.B) {
+	sys, err := New(benchRaw(b, 512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := sys.SaveBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadBytes(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRaw is benchBandwidth as the [][]float64 New takes.
+func benchRaw(b *testing.B, n int) [][]float64 {
+	b.Helper()
+	bw := benchBandwidth(b, n)
+	raw := make([][]float64, n)
+	for i := range raw {
+		raw[i] = slices.Clone(bw.Row(i))
+	}
+	return raw
 }
 
 // BenchmarkClusterIndexQuery measures an indexed (k, l) query at n = 190:

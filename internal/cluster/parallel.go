@@ -1,11 +1,11 @@
-// Parallel execution layer for Algorithm 1's exhaustive passes. Sizing
-// |S*pq| is independent across pairs, so the O(n^3) index build and the
-// MaxClusterSize scan shard cleanly across a worker pool (the same
-// observation that makes distributed metric facility location
-// "super-fast": per-candidate evaluations share no state). Workers claim
-// row ranges from an atomic counter and write disjoint outputs, so the
-// result never depends on the schedule. (k, l) queries are not sharded:
-// Index.Find answers them by binary search.
+// Parallel execution layer for Algorithm 1's exhaustive pass. Sizing
+// |S*pq| is independent across pairs, so the O(n^3) index build shards
+// cleanly across a worker pool (the same observation that makes
+// distributed metric facility location "super-fast": per-candidate
+// evaluations share no state). Workers claim row ranges from an atomic
+// counter and write disjoint outputs, so the result never depends on the
+// schedule. (k, l) queries are not sharded: Index.Find answers them by
+// binary search.
 package cluster
 
 import (
@@ -101,49 +101,6 @@ func forRowsParallel(n, workers int, fn func(p int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// MaxClusterSizeParallel computes MaxClusterSize with the pair scan
-// sharded across workers. Unlike the (k, l) search there is no early
-// exit: every pair within the diameter bound must be sized.
-func MaxClusterSizeParallel(s metric.Space, l float64, workers int) (int, []int) {
-	if s == nil || s.N() == 0 {
-		return 0, nil
-	}
-	n := s.N()
-	workers = Workers(workers, n)
-	if workers == 1 || n < minParallelN {
-		return MaxClusterSize(s, l)
-	}
-	// Per-row winners are (size, q) pairs — flat value types, no member
-	// slices — and only the global winner is materialized at the end.
-	type rowBest struct {
-		size int32
-		q    int32
-	}
-	rows := make([]rowBest, n)
-	forRowsParallel(n, workers, func(p int) {
-		best := rowBest{size: 0, q: -1}
-		for q := p + 1; q < n; q++ {
-			if s.Dist(p, q) > l {
-				continue
-			}
-			if c := int32(countMembers(s, p, q)); c > best.size {
-				best = rowBest{size: c, q: int32(q)}
-			}
-		}
-		rows[p] = best
-	})
-	best, bp := rowBest{size: 0, q: -1}, -1
-	for p := 0; p < n; p++ {
-		if rows[p].size > best.size {
-			best, bp = rows[p], p
-		}
-	}
-	if best.size == 0 {
-		return 1, []int{0}
-	}
-	return int(best.size), firstMembers(s, bp, int(best.q), int(best.size))
 }
 
 // NewIndexParallel builds the same index NewIndex builds, sharding the

@@ -28,40 +28,6 @@ func randomSpace(n int, seed int64) *metric.Matrix {
 	return m
 }
 
-// TestMaxClusterSizeParallelMatchesSequential checks the exhaustive
-// variant agrees with the sequential scan (same size; the witness must be
-// a real cluster of that size within l).
-func TestMaxClusterSizeParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{10, 80, 120} {
-		s := randomSpace(n, int64(n)*7)
-		for _, l := range []float64{0.5, 2.0, 11, 100} {
-			wantSize, _ := MaxClusterSize(s, l)
-			gotSize, witness := MaxClusterSizeParallel(s, l, 4)
-			if gotSize != wantSize {
-				t.Fatalf("n=%d l=%v: parallel size %d, sequential %d", n, l, gotSize, wantSize)
-			}
-			if wantSize >= 2 {
-				if len(witness) != gotSize {
-					t.Fatalf("n=%d l=%v: witness length %d, size %d", n, l, len(witness), gotSize)
-				}
-				if !Valid(s, witness, l) {
-					// In tree metrics the witness diameter equals the
-					// determining pair's distance; the synthetic space is
-					// not an exact tree metric, so check against the same
-					// relaxed criterion MaxClusterSize satisfies: every
-					// member within l of the determining pair is accepted,
-					// diameters can exceed l only as the sequential
-					// version's witness would too. Compare sizes instead.
-					seqSize, seqWitness := MaxClusterSize(s, l)
-					if len(seqWitness) != len(witness) || seqSize != gotSize {
-						t.Fatalf("n=%d l=%v: inconsistent witnesses", n, l)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestNewIndexParallelMatchesSequential checks the parallel index build
 // produces identical query behavior.
 func TestNewIndexParallelMatchesSequential(t *testing.T) {

@@ -201,6 +201,11 @@ func (nw *Network) Hosts() []int {
 	return out
 }
 
+// DistMatrix returns the network's predicted-distance snapshot and the
+// host id of each of its rows. Both are shared with the peers, not
+// copied: callers must only read them.
+func (nw *Network) DistMatrix() (*metric.Matrix, []int) { return nw.dist.m, nw.dist.hosts }
+
 // Rounds reports how many background rounds have been executed.
 func (nw *Network) Rounds() int { return nw.rounds }
 

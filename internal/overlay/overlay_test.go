@@ -107,6 +107,11 @@ func TestClassForSnapping(t *testing.T) {
 			t.Errorf("ClassFor(%v) = %v, want %v", tt.l, got, tt.want)
 		}
 	}
+	// NaN compares false with every class, which once snapped it past
+	// all of them to the largest.
+	if got, _, err := nw.cfg.ClassFor(math.NaN()); err == nil {
+		t.Errorf("ClassFor(NaN) = %v, want an error", got)
+	}
 }
 
 // reachableVia returns the hosts reachable from x through neighbor m on

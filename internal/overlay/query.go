@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"bwcluster/internal/telemetry"
@@ -32,8 +33,11 @@ func (r Result) Found() bool { return len(r.Cluster) > 0 }
 
 // ClassFor snaps a diameter constraint l to the largest configured class
 // that does not exceed it (never relaxing the constraint). Returns the
-// class value and its index.
+// class value and its index. A NaN constraint is an error.
 func (c Config) ClassFor(l float64) (float64, int, error) {
+	if math.IsNaN(l) {
+		return 0, 0, fmt.Errorf("overlay: diameter constraint is NaN")
+	}
 	idx := sort.SearchFloat64s(c.Classes, l)
 	// Classes[idx-1] <= l < Classes[idx] unless Classes[idx] == l.
 	if idx < len(c.Classes) && c.Classes[idx] == l {

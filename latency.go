@@ -2,14 +2,11 @@ package bwcluster
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"math"
 
 	"bwcluster/internal/cluster"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
-	"bwcluster/internal/predtree"
-	"bwcluster/internal/stats"
 )
 
 // LatencySystem finds latency-constrained clusters: k hosts with pairwise
@@ -18,12 +15,9 @@ import (
 // machinery applies with the identity transform (distances are
 // milliseconds directly, no rational transform).
 type LatencySystem struct {
+	derived                // pred holds the predicted latency (ms)
 	lat     *metric.Matrix // measured latency (ms)
-	pred    *metric.Matrix // predicted latency
-	forest  *predtree.Forest
-	treeIdx *cluster.Index
-	net     *overlay.Network
-	classes []float64 // latency classes (ms), ascending
+	classes []float64      // latency classes (ms), ascending
 }
 
 // WithLatencyClasses fixes the latency classes (ms) decentralized
@@ -37,83 +31,27 @@ func WithLatencyClasses(ms []float64) Option {
 
 // NewLatency builds a latency clustering system from an n-by-n latency
 // matrix in milliseconds (asymmetric input is averaged, diagonal
-// ignored, off-diagonal entries must be positive).
+// ignored, off-diagonal entries must be positive and finite).
 func NewLatency(latency [][]float64, opts ...Option) (*LatencySystem, error) {
-	o := options{c: DefaultC, nCut: overlay.DefaultNCut, trees: 3, seed: 1}
-	for _, opt := range opts {
-		if err := opt(&o); err != nil {
-			return nil, err
-		}
-	}
-	lat, err := metric.Symmetrize(latency)
+	o, lat, err := prepare(latency, opts)
 	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
-	}
-	if lat.N() < 2 {
-		return nil, fmt.Errorf("bwcluster: need at least 2 hosts, got %d", lat.N())
+		return nil, err
 	}
 	for i := 0; i < lat.N(); i++ {
 		for j := i + 1; j < lat.N(); j++ {
-			if lat.At(i, j) <= 0 {
-				return nil, fmt.Errorf("bwcluster: latency(%d,%d)=%v is not positive", i, j, lat.At(i, j))
+			if v := lat.At(i, j); !(v > 0) || math.IsInf(v, 1) { // negated so NaN fails too
+				return nil, fmt.Errorf("bwcluster: latency(%d,%d)=%v must be positive and finite", i, j, v)
 			}
 		}
 	}
-	if o.classes == nil {
-		o.classes = defaultLatencyClasses(lat)
-	}
-	sort.Float64s(o.classes)
-
-	mode := predtree.SearchAnchor
-	if o.centralized {
-		mode = predtree.SearchFull
-	}
-	rng := rand.New(rand.NewSource(o.seed))
-	forest, err := predtree.BuildForest(lat, o.c, mode, o.trees, rng)
-	if err != nil {
-		return nil, fmt.Errorf("bwcluster: build prediction forest: %w", err)
-	}
-	dm, hosts := forest.DistMatrix()
-	pred := metric.NewMatrix(lat.N())
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
-		}
-	}
-	treeIdx, err := cluster.NewIndex(pred)
-	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
-	}
+	o.defaultClasses(lat, 20)
 	// Latency classes are already distances: no transform.
-	net, err := overlay.NewNetwork(forest, overlay.Config{NCut: o.nCut, Classes: o.classes})
+	cfg := overlay.Config{NCut: o.nCut, Classes: o.classes}
+	d, err := o.build(lat, cfg, cluster.Workers(o.parallelism, 0))
 	if err != nil {
-		return nil, fmt.Errorf("bwcluster: %w", err)
+		return nil, err
 	}
-	if _, err := net.Converge(0); err != nil {
-		return nil, fmt.Errorf("bwcluster: converge overlay: %w", err)
-	}
-	return &LatencySystem{
-		lat: lat, pred: pred, forest: forest,
-		treeIdx: treeIdx, net: net, classes: o.classes,
-	}, nil
-}
-
-func defaultLatencyClasses(lat *metric.Matrix) []float64 {
-	vals := lat.Values()
-	classes := make([]float64, 0, 8)
-	for p := 20.0; p <= 90; p += 10 {
-		v, err := stats.Percentile(vals, p)
-		if err != nil || v <= 0 {
-			continue
-		}
-		if len(classes) == 0 || v > classes[len(classes)-1] {
-			classes = append(classes, v)
-		}
-	}
-	if len(classes) == 0 {
-		classes = []float64{1}
-	}
-	return classes
+	return &LatencySystem{derived: d, lat: lat, classes: o.classes}, nil
 }
 
 // Len reports the number of hosts.
@@ -161,7 +99,7 @@ func (s *LatencySystem) MeasuredLatency(u, v int) (float64, error) {
 // FindCluster returns k hosts predicted to be within maxLatency ms of
 // each other, or nil if none exist.
 func (s *LatencySystem) FindCluster(k int, maxLatency float64) ([]int, error) {
-	if maxLatency < 0 {
+	if !(maxLatency >= 0) { // negated so NaN fails too
 		return nil, fmt.Errorf("bwcluster: maxLatency must be >= 0, got %v", maxLatency)
 	}
 	members, err := s.treeIdx.Find(k, maxLatency)

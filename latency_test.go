@@ -3,9 +3,16 @@ package bwcluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"bwcluster/internal/cluster"
 	"bwcluster/internal/dataset"
+	"bwcluster/internal/metric"
+	"bwcluster/internal/overlay"
+	"bwcluster/internal/predtree"
+	"bwcluster/internal/stats"
 )
 
 // syntheticLatency builds an n-host latency matrix (ms) with a metro
@@ -37,8 +44,14 @@ func TestNewLatencyValidation(t *testing.T) {
 	if _, err := NewLatency(nil); err == nil {
 		t.Error("empty matrix should fail")
 	}
-	if _, err := NewLatency([][]float64{{0, 0}, {0, 0}}); err == nil {
-		t.Error("zero latency should fail")
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewLatency([][]float64{{0, v}, {v, 0}}); err == nil {
+			t.Errorf("latency %v should fail", v)
+		}
+	}
+	// Averaging finite directions can overflow to +Inf.
+	if _, err := NewLatency([][]float64{{0, math.MaxFloat64}, {math.MaxFloat64, 0}}); err == nil {
+		t.Error("latency overflowing to +Inf should fail")
 	}
 	good := [][]float64{{0, 5}, {5, 0}}
 	if _, err := NewLatency(good, WithNCut(0)); err == nil {
@@ -152,6 +165,12 @@ func TestLatencyQueryValidation(t *testing.T) {
 	if _, err := sys.FindCluster(3, -1); err == nil {
 		t.Error("negative bound should fail")
 	}
+	if members, err := sys.FindCluster(3, math.NaN()); err == nil {
+		t.Errorf("NaN bound answered %v, want an error", members)
+	}
+	if res, err := sys.Query(0, 3, math.NaN()); err == nil {
+		t.Errorf("NaN bound answered %+v, want an error", res)
+	}
 	if _, err := sys.Query(0, 3, 0.0001); err == nil {
 		t.Error("bound below all classes should fail")
 	}
@@ -228,5 +247,95 @@ func TestLatencyExplicitClasses(t *testing.T) {
 	}
 	if res.Found() && res.Class != 50 {
 		t.Errorf("class = %v, want 50", res.Class)
+	}
+}
+
+// TestNewLatencyMatchesSequentialPipeline builds the latency pipeline
+// step by step and sequentially — forest, host-indexed remap, cluster
+// index, overlay — and requires NewLatency, on its shared and parallel
+// construction path, to give the same answers: every predicted pair and
+// a (k, l, start) grid of centralized and decentralized queries.
+func TestNewLatencyMatchesSequentialPipeline(t *testing.T) {
+	const n = 80 // above the parallel index build's fallback size
+	for _, seed := range []int64{1, 2} {
+		raw := syntheticLatency(t, n, seed)
+		lat, err := metric.Symmetrize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var classes []float64 // the 20th..90th percentiles
+		for p := 20.0; p <= 90; p += 10 {
+			v, err := stats.Percentile(lat.Values(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(classes) == 0 || v > classes[len(classes)-1] {
+				classes = append(classes, v)
+			}
+		}
+		forest, err := predtree.BuildForest(lat, DefaultC, predtree.SearchAnchor, 3, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, hosts := forest.DistMatrix()
+		pred := metric.NewMatrix(n)
+		for i := range hosts {
+			for j := i + 1; j < len(hosts); j++ {
+				pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
+			}
+		}
+		idx, err := cluster.NewIndex(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := overlay.NewNetwork(forest, overlay.Config{NCut: overlay.DefaultNCut, Classes: classes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Converge(0); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, opts := range [][]Option{{WithSeed(seed)}, {WithSeed(seed), WithParallelism(1)}, {WithSeed(seed), WithParallelism(4)}} {
+			sys, err := NewLatency(raw, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sys.Classes(), classes) {
+				t.Fatalf("seed %d: classes %v, want %v", seed, sys.Classes(), classes)
+			}
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if got, _ := sys.PredictLatency(u, v); got != pred.Dist(u, v) {
+						t.Fatalf("seed %d: PredictLatency(%d,%d) = %v, want %v", seed, u, v, got, pred.Dist(u, v))
+					}
+				}
+			}
+			found := 0
+			bounds := append([]float64{0, 1, 30, 1e9}, classes...)
+			for _, k := range []int{2, 3, 5, 8, 20} {
+				for _, l := range bounds {
+					got, gotErr := sys.FindCluster(k, l)
+					want, wantErr := idx.Find(k, l)
+					if !slices.Equal(got, want) || (gotErr == nil) != (wantErr == nil) {
+						t.Fatalf("seed %d: FindCluster(%d, %v) = %v, %v; want %v, %v", seed, k, l, got, gotErr, want, wantErr)
+					}
+					for _, start := range []int{0, 17, n - 1} {
+						got, gotErr := sys.Query(start, k, l)
+						want, wantErr := net.Query(start, k, l)
+						wantRes := QueryResult{Members: want.Cluster, Hops: want.Hops, AnsweredBy: want.Answered, Class: want.Class}
+						if !reflect.DeepEqual(got, wantRes) || (gotErr == nil) != (wantErr == nil) {
+							t.Fatalf("seed %d: Query(%d, %d, %v) = %+v, %v; want %+v, %v", seed, start, k, l, got, gotErr, wantRes, wantErr)
+						}
+						if got.Found() {
+							found++
+						}
+					}
+				}
+			}
+			if found == 0 {
+				t.Fatalf("seed %d: no decentralized query on the grid found a cluster", seed)
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"bwcluster/internal/cluster"
 	"bwcluster/internal/metric"
@@ -104,50 +103,20 @@ func Load(r io.Reader) (*System, error) {
 			return nil, fmt.Errorf("bwcluster: load system: invalid parameters: %w", err)
 		}
 	}
-	workers := cluster.Workers(snap.Workers, 0)
 	snap.Forest.SetEpoch(snap.Epoch)
-	dm, hosts := snap.Forest.DistMatrix()
-	pred := metric.NewMatrix(snap.BW.N())
-	// A churned snapshot's forest may hold fewer hosts than the
-	// measurement matrix. Departed hosts are unreachable, not at the
-	// zero distance an unset matrix entry would report — otherwise every
-	// cluster query would claim them.
-	present := make([]bool, snap.BW.N())
-	for _, h := range hosts {
-		present[h] = true
-	}
-	for i := 0; i < snap.BW.N(); i++ {
-		for j := i + 1; j < snap.BW.N(); j++ {
-			if !present[i] || !present[j] {
-				pred.Set(i, j, math.Inf(1))
-			}
-		}
-	}
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
-		}
-	}
-	treeIdx, err := cluster.NewIndexParallelAt(pred, workers, snap.Forest.Epoch())
-	if err != nil {
-		return nil, fmt.Errorf("bwcluster: load system: %w", err)
-	}
 	distClasses, err := overlay.ClassesFromBandwidths(snap.Classes, snap.C)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: load system: %w", err)
 	}
 	ovCfg := overlay.Config{NCut: snap.NCut, Classes: distClasses}
-	net, err := overlay.NewNetwork(snap.Forest, ovCfg)
+	workers := cluster.Workers(snap.Workers, 0)
+	d, err := derive(snap.Forest, snap.BW.N(), ovCfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: load system: %w", err)
 	}
-	if _, err := net.Converge(0); err != nil {
-		return nil, fmt.Errorf("bwcluster: load system: %w", err)
-	}
 	return &System{
-		c: snap.C, nCut: snap.NCut, workers: workers, parallelism: snap.Workers, bw: snap.BW,
-		forest: snap.Forest, pred: pred, treeIdx: treeIdx, net: net,
-		ovCfg: ovCfg, classes: snap.Classes,
+		derived: d, c: snap.C, nCut: snap.NCut, workers: workers, parallelism: snap.Workers,
+		bw: snap.BW, ovCfg: ovCfg, classes: snap.Classes,
 	}, nil
 }
 

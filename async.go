@@ -38,9 +38,7 @@ type AsyncRuntime struct {
 // Health().Converged for non-blocking readiness) and Close to stop the
 // goroutines. A non-positive tick uses DefaultAsyncTick.
 func (s *System) AsyncRuntime(tick time.Duration) (*AsyncRuntime, error) {
-	return s.asyncRuntime(tick, func(tick time.Duration) (*runtime.Runtime, error) {
-		return runtime.New(s.forest, s.ovCfg, tick)
-	})
+	return s.AsyncRuntimeWithTransport(tick, nil, nil)
 }
 
 // AsyncRuntimeWithTransport starts the asynchronous runtime over a
@@ -50,18 +48,14 @@ func (s *System) AsyncRuntime(tick time.Duration) (*AsyncRuntime, error) {
 // epochs agree), each hosts a disjoint slice of its peers over a shared
 // TCPTransport, and gossip and query forwarding cross process
 // boundaries as wire frames. Semantics otherwise match AsyncRuntime;
-// queries must start at a locally hosted peer.
+// queries must start at a locally hosted peer. A nil tr and nil local
+// are AsyncRuntime: an in-process transport hosting every peer. Every
+// runtime reads the system's own predicted-distance snapshot.
 func (s *System) AsyncRuntimeWithTransport(tick time.Duration, tr transport.Transport, local []int) (*AsyncRuntime, error) {
-	return s.asyncRuntime(tick, func(tick time.Duration) (*runtime.Runtime, error) {
-		return runtime.NewWithTransport(s.forest, s.ovCfg, tick, tr, local)
-	})
-}
-
-func (s *System) asyncRuntime(tick time.Duration, build func(time.Duration) (*runtime.Runtime, error)) (*AsyncRuntime, error) {
 	if tick <= 0 {
 		tick = DefaultAsyncTick
 	}
-	rt, err := build(tick)
+	rt, err := runtime.NewWithTransport(s.forest, s.dist, s.ovCfg, tick, tr, local)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: async runtime: %w", err)
 	}

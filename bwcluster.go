@@ -291,55 +291,34 @@ func (o *options) build(dist *metric.Matrix, cfg overlay.Config, workers int) (d
 }
 
 // derived is the query state New, Load and NewLatency all build from a
-// prediction forest: the host-indexed predicted distances, their cluster
-// index, and the converged overlay.
+// prediction forest: the predicted-distance snapshot, its cluster index,
+// and the converged overlay over the same snapshot.
 type derived struct {
 	forest  *predtree.Forest
-	pred    *metric.Matrix
+	dist    *overlay.Dist
+	pred    *metric.Matrix // dist's host-indexed matrix
 	treeIdx *cluster.Index
 	net     *overlay.Network
 }
 
 // derive builds the query state over a forest whose hosts are drawn from
-// an n-host measurement matrix. The forest's distance matrix is computed
-// once, by the overlay's snapshot, and pred is filled from it. Hosts the
-// forest lacks (departed by churn) are unreachable in pred, not at the
-// zero distance an unset entry would report, so no cluster query claims
-// them.
+// an n-host measurement matrix. One snapshot, n wide, holds the
+// predicted distances: the cluster index, the overlay and every async
+// runtime read it.
 func derive(forest *predtree.Forest, n int, cfg overlay.Config, workers int) (derived, error) {
-	// pred is allocated before the network's snapshot: the opposite
-	// order measured a ~10 % higher central query p99 in perfbench.
-	pred := metric.NewMatrix(n)
-	present := make([]bool, n)
-	for _, h := range forest.Hosts() {
-		present[h] = true
-	}
-	for i, ok := range present {
-		if ok {
-			continue
-		}
-		for j := range n {
-			pred.Set(i, j, math.Inf(1))
-		}
-	}
-	net, err := overlay.NewNetwork(forest, cfg)
+	dist := overlay.NewDist(forest, n)
+	net, err := overlay.NewNetworkOver(forest, dist, cfg)
 	if err != nil {
 		return derived{}, err
 	}
-	dm, hosts := net.DistMatrix()
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
-		}
-	}
-	treeIdx, err := cluster.NewIndexParallelAt(pred, workers, forest.Epoch())
+	treeIdx, err := cluster.NewIndexParallelAt(dist.Matrix(), workers, forest.Epoch())
 	if err != nil {
 		return derived{}, err
 	}
 	if _, err := net.Converge(0); err != nil {
 		return derived{}, fmt.Errorf("converge overlay: %w", err)
 	}
-	return derived{forest: forest, pred: pred, treeIdx: treeIdx, net: net}, nil
+	return derived{forest: forest, dist: dist, pred: dist.Matrix(), treeIdx: treeIdx, net: net}, nil
 }
 
 // Len reports the number of hosts.

@@ -76,7 +76,7 @@ func startSplit(role, listen, peerAddr string) (*splitSide, error) {
 			return nil, err
 		}
 	}
-	_, hosts := tree.DistMatrix()
+	hosts := tree.Hosts()
 	var local, remote []int
 	for i, h := range hosts {
 		if (i%2 == 0) == (role == "a") {
@@ -93,7 +93,7 @@ func startSplit(role, listen, peerAddr string) (*splitSide, error) {
 	for _, h := range remote {
 		tr.AddRoute(h, peerAddr)
 	}
-	rt, err := runtime.NewWithTransport(tree, overlay.Config{NCut: 8, Classes: classes}, time.Millisecond, tr, local)
+	rt, err := runtime.NewWithTransport(tree, nil, overlay.Config{NCut: 8, Classes: classes}, time.Millisecond, tr, local)
 	if err != nil {
 		tr.Close()
 		return nil, err

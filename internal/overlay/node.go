@@ -75,17 +75,8 @@ func (nw *Network) QueryNode(start int, set []int, l float64) (NodeResult, error
 // FindNodeCentral runs the centralized single-node search over the full
 // predicted metric (the reference the decentralized search approximates).
 func (nw *Network) FindNodeCentral(set []int, l float64) (int, float64, error) {
-	idxSet := make([]int, len(set))
-	for i, m := range set {
-		pos, ok := nw.dist.index[m]
-		if !ok {
-			return -1, 0, fmt.Errorf("overlay: set member %d is not an overlay host", m)
-		}
-		idxSet[i] = pos
-	}
-	node, radius, err := cluster.FindNodeForSet(nw.dist.m, idxSet, l)
-	if err != nil || node < 0 {
+	if err := nw.dist.checkRows(set); err != nil {
 		return -1, 0, err
 	}
-	return nw.dist.hosts[node], radius, nil
+	return cluster.FindNodeForSet(nw.dist.m, set, l)
 }

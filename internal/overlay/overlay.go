@@ -24,7 +24,6 @@ package overlay
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"bwcluster/internal/metric"
@@ -130,8 +129,19 @@ type Network struct {
 }
 
 // NewNetwork builds the overlay for every host currently in the
-// substrate (a prediction tree or forest).
+// substrate (a prediction tree or forest), over a fresh snapshot of its
+// predicted distances.
 func NewNetwork(sub Substrate, cfg Config) (*Network, error) {
+	if sub == nil {
+		return nil, fmt.Errorf("overlay: empty prediction substrate")
+	}
+	return NewNetworkOver(sub, NewDist(sub, 0), cfg)
+}
+
+// NewNetworkOver builds the overlay for every host in sub over d, a
+// snapshot of sub's predicted distances, which the network shares and
+// never writes. Every host of sub must be in d.
+func NewNetworkOver(sub Substrate, d *Dist, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,15 +149,19 @@ func NewNetwork(sub Substrate, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("overlay: empty prediction substrate")
 	}
 	nw := &Network{cfg: cfg, sub: sub}
-	nw.reload()
+	nw.reload(d)
+	if err := d.checkRows(nw.hosts); err != nil {
+		return nil, err
+	}
 	return nw, nil
 }
 
-// reload re-reads hosts, adjacency and predicted distances from the tree,
-// preserving any aggregation state for hosts that persist.
-func (nw *Network) reload() {
-	nw.dist = NewDist(nw.sub)
-	nw.hosts = slices.Clone(nw.dist.hosts)
+// reload re-reads hosts and adjacency from the substrate and takes d as
+// the predicted distances, preserving any aggregation state for hosts
+// that persist.
+func (nw *Network) reload(d *Dist) {
+	nw.dist = d
+	nw.hosts = nw.sub.Hosts()
 	old := nw.peers
 	nw.peers = make(map[int]*Peer, len(nw.hosts))
 	for _, h := range nw.hosts {
@@ -167,20 +181,20 @@ func (nw *Network) reload() {
 // was built (used by dynamic-membership scenarios). Existing aggregation
 // state is kept and re-converged incrementally.
 func (nw *Network) Refresh() {
-	nw.reload()
+	nw.reload(NewDist(nw.sub, 0))
 }
 
 // Resync picks up membership changes in the underlying substrate —
 // including removals, which Refresh alone does not handle: surviving
 // peers' node-info aggregation may still reference departed hosts, and
 // those records must be dropped before the next round reads them (the
-// reloaded distance matrix no longer has rows for departed hosts).
+// reloaded snapshot no longer holds departed hosts).
 // Aggregation state mentioning only surviving hosts is kept, so
 // re-convergence after a removal is incremental: stale values flush out
 // within the anchor-tree diameter because every round overwrites them
 // under the split-horizon rule, they are never maxed into place.
 func (nw *Network) Resync() {
-	nw.reload()
+	nw.reload(NewDist(nw.sub, 0))
 	for _, p := range nw.peers {
 		for i, nodes := range p.aggrNode {
 			kept := nodes[:0]
@@ -200,11 +214,6 @@ func (nw *Network) Hosts() []int {
 	copy(out, nw.hosts)
 	return out
 }
-
-// DistMatrix returns the network's predicted-distance snapshot and the
-// host id of each of its rows. Both are shared with the peers, not
-// copied: callers must only read them.
-func (nw *Network) DistMatrix() (*metric.Matrix, []int) { return nw.dist.m, nw.dist.hosts }
 
 // Rounds reports how many background rounds have been executed.
 func (nw *Network) Rounds() int { return nw.rounds }

@@ -11,42 +11,61 @@ import (
 )
 
 // Dist is an immutable snapshot of the predicted distances between the
-// substrate's hosts. The protocol rules read distances only through it:
-// Network holds one, and the async runtime swaps in a fresh snapshot
+// substrate's hosts, in a host-indexed matrix: row h is host h, and the
+// entries toward a host the substrate lacks (an id it never held, or a
+// host churn removed) are +Inf, so no cluster or search ever picks it.
+// The protocol rules read distances only through it. It is never
+// written after NewDist, so a Network, the async runtimes and a cluster
+// index over Matrix can share one; the runtime swaps in a fresh snapshot
 // atomically when membership changes.
 type Dist struct {
-	m     *metric.Matrix
-	hosts []int       // row -> host id
-	index map[int]int // host id -> row
+	m  *metric.Matrix
+	in []bool // in[h]: host h is in the substrate
 }
 
-// NewDist snapshots sub's predicted distances.
-func NewDist(sub Substrate) *Dist {
-	m, hosts := sub.DistMatrix()
-	index := make(map[int]int, len(hosts))
-	for i, h := range hosts {
-		index[h] = i
+// NewDist snapshots sub's predicted distances in a matrix at least n
+// wide, and wide enough for every host id sub holds.
+func NewDist(sub Substrate, n int) *Dist {
+	dm, hosts := sub.DistMatrix()
+	for _, h := range hosts {
+		n = max(n, h+1)
 	}
-	return &Dist{m: m, hosts: hosts, index: index}
+	d := &Dist{m: metric.NewMatrix(n), in: make([]bool, n)}
+	for _, h := range hosts {
+		d.in[h] = true
+	}
+	for h, ok := range d.in {
+		if !ok {
+			for j := range n {
+				d.m.Set(h, j, math.Inf(1))
+			}
+		}
+	}
+	for i := range hosts {
+		for j := i + 1; j < len(hosts); j++ {
+			d.m.Set(hosts[i], hosts[j], dm.Dist(i, j))
+		}
+	}
+	return d
 }
+
+// Matrix returns the host-indexed snapshot matrix. It is shared, not
+// copied: callers must only read it.
+func (d *Dist) Matrix() *metric.Matrix { return d.m }
 
 // Between returns the predicted distance between hosts a and b, +Inf
 // when either is missing from the snapshot, so a departed host is never
 // the closest.
 func (d *Dist) Between(a, b int) float64 {
-	i, okA := d.index[a]
-	j, okB := d.index[b]
-	if !okA || !okB {
+	if !d.Has(a) || !d.Has(b) {
 		return math.Inf(1)
 	}
-	return d.m.Dist(i, j)
+	return d.m.Dist(a, b)
 }
 
-// Has reports whether host h is in the snapshot.
-func (d *Dist) Has(h int) bool {
-	_, ok := d.index[h]
-	return ok
-}
+// Has reports whether host h is in the snapshot. Any int is a valid
+// argument: ids reach the snapshot from wire messages.
+func (d *Dist) Has(h int) bool { return h >= 0 && h < len(d.in) && d.in[h] }
 
 // setRadius returns x's maximum predicted distance to the members of set
 // (the predicted-distance analogue of cluster.SetRadius).
@@ -60,29 +79,27 @@ func (d *Dist) setRadius(x int, set []int) float64 {
 	return worst
 }
 
-// rows returns the snapshot row of every host. A host missing from the
-// snapshot is an error.
-func (d *Dist) rows(hosts []int) ([]int32, error) {
-	rows := make([]int32, len(hosts))
-	for i, h := range hosts {
-		r, ok := d.index[h]
-		if !ok {
-			return nil, fmt.Errorf("overlay: host %d is not in the distance snapshot", h)
+// checkRows reports an error naming the first of hosts missing from the
+// snapshot. A host's id is its row, so a view over hosts present reads
+// the snapshot in place.
+func (d *Dist) checkRows(hosts []int) error {
+	for _, h := range hosts {
+		if !d.Has(h) {
+			return fmt.Errorf("overlay: host %d is not in the distance snapshot", h)
 		}
-		rows[i] = int32(r)
 	}
-	return rows, nil
+	return nil
 }
 
-// spaceView restricts a snapshot matrix to a list of its rows, reading
-// the shared snapshot in place.
+// spaceView restricts a snapshot matrix to a list of its rows (host
+// ids), reading the shared snapshot in place.
 type spaceView struct {
 	m    *metric.Matrix
-	rows []int32
+	rows []int
 }
 
 func (v *spaceView) N() int                { return len(v.rows) }
-func (v *spaceView) Dist(i, j int) float64 { return v.m.Dist(int(v.rows[i]), int(v.rows[j])) }
+func (v *spaceView) Dist(i, j int) float64 { return v.m.Dist(v.rows[i], v.rows[j]) }
 
 // Peer is one host's protocol state together with the per-peer rules of
 // Algorithms 2–4 over it. It holds no locks, clocks or transport: the
@@ -98,13 +115,13 @@ type Peer struct {
 	table     ladderTable
 }
 
-// ladderTable is what RecomputeSelfCRT keeps for QueryHop: V_p's snapshot
-// rows and its cluster.Ladder for every class, tagged with the snapshot
-// and classes it was built from. Every change to V_p clears it.
+// ladderTable is what RecomputeSelfCRT keeps for QueryHop: V_p and its
+// cluster.Ladder for every class, tagged with the snapshot and classes it
+// was built from. Every change to V_p clears it.
 type ladderTable struct {
 	dist    *Dist // nil: no table
 	classes []float64
-	rows    []int32        // V_p's snapshot rows, in host-id order
+	rows    []int          // V_p, sorted: host ids, and so snapshot rows
 	rungs   []cluster.Rung // every class's ladder back to back; P and Q index rows
 	ends    []int32        // class ci's ladder ends at rungs[ends[ci]]
 }
@@ -298,8 +315,8 @@ func (p *Peer) nodes(skip int) []int {
 // QueryHop answers local searches over d without a scan.
 func (p *Peer) RecomputeSelfCRT(d *Dist, classes []float64) (bool, error) {
 	p.table = ladderTable{}
-	rows, err := d.rows(p.clusteringSpace())
-	if err != nil {
+	rows := p.clusteringSpace()
+	if err := d.checkRows(rows); err != nil {
 		return false, err
 	}
 	// NewIndex reads every entry about |V_p| times. Over a compact
@@ -340,8 +357,8 @@ func (t *ladderTable) answers(d *Dist, k, classIdx int, classL float64) bool {
 
 // find returns what Algorithm 1 over V_p returns for k in class ci: the
 // first rung of ci's ladder that admits k names the pair (P, Q), and one
-// pass over V_p's rows, reading snapshot rows P and Q, collects the
-// first k members of S*PQ in host-id order.
+// pass over V_p, reading the snapshot rows of P and Q, collects the first
+// k members of S*PQ in host-id order.
 func (t *ladderTable) find(d *Dist, k, ci int) []int {
 	start := int32(0)
 	if ci > 0 {
@@ -352,12 +369,12 @@ func (t *ladderTable) find(d *Dist, k, ci int) []int {
 		return nil
 	}
 	q := t.rows[r.Q]
-	rowP, rowQ := d.m.Row(int(t.rows[r.P])), d.m.Row(int(q))
+	rowP, rowQ := d.m.Row(t.rows[r.P]), d.m.Row(q)
 	dpq := rowP[q]
 	members := make([]int, 0, k)
 	for _, x := range t.rows {
 		if max(rowP[x], rowQ[x]) <= dpq {
-			members = append(members, d.hosts[x])
+			members = append(members, x)
 			if len(members) == k {
 				break
 			}
@@ -424,11 +441,10 @@ func (p *Peer) QueryHop(d *Dist, k, classIdx int, classL float64, prev int) (Hop
 // returns |V_p| and the answer's host ids, nil when there is none.
 func (p *Peer) scan(d *Dist, k int, l float64) (int, []int, error) {
 	ids := p.clusteringSpace()
-	rows, err := d.rows(ids)
-	if err != nil {
+	if err := d.checkRows(ids); err != nil {
 		return len(ids), nil, err
 	}
-	sel, err := cluster.FindCluster(&spaceView{m: d.m, rows: rows}, k, l)
+	sel, err := cluster.FindCluster(&spaceView{m: d.m, rows: ids}, k, l)
 	if err != nil || sel == nil {
 		return len(ids), nil, err
 	}

@@ -69,7 +69,7 @@ func TestPeerSplice(t *testing.T) {
 // nothing and keep the local-search table.
 func TestSetAggrIgnoresNonNeighbors(t *testing.T) {
 	m := metric.FromFunc(4, func(i, j int) float64 { return float64(i + j) })
-	d := &Dist{m: m, hosts: []int{0, 1, 2, 3}, index: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}}
+	d := fullDist(m)
 	classes := []float64{10}
 	p := NewPeer(0, []int{1, 2})
 	p.SetAggrNode(1, []int{1, 3})
@@ -106,7 +106,7 @@ func TestSetAggrIgnoresNonNeighbors(t *testing.T) {
 // never a silent read of another host's row.
 func TestLocalSearchRejectsHostMissingFromSnapshot(t *testing.T) {
 	m := metric.FromFunc(3, func(i, j int) float64 { return 1 })
-	d := &Dist{m: m, hosts: []int{0, 1, 2}, index: map[int]int{0: 0, 1: 1, 2: 2}}
+	d := fullDist(m)
 	p := NewPeer(0, []int{1})
 	p.SetAggrNode(1, []int{1, 7})
 	if _, err := p.RecomputeSelfCRT(d, []float64{1}); err == nil || !strings.Contains(err.Error(), "host 7") {
@@ -203,10 +203,7 @@ func TestPropNodeTiesAndMissingHosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 40
 	m := metric.FromFunc(n, func(i, j int) float64 { return float64(1 + rng.Intn(3)) })
-	d := &Dist{m: m, hosts: make([]int, n), index: make(map[int]int, n)}
-	for i := range d.hosts {
-		d.hosts[i], d.index[i] = i, i
-	}
+	d := fullDist(m)
 	p := NewPeer(0, []int{1, 2, 3})
 	p.SetAggrNode(1, []int{4, 5, 6, 7, 8, 9, 40, 41})
 	p.SetAggrNode(2, []int{10, 11, 12, 13, 14, 15, 16, 42})
@@ -260,7 +257,7 @@ func TestQueryHopMatchesMaterializedSpace(t *testing.T) {
 func checkStaleHops(t *testing.T, p *Peer, d *Dist, classes []float64, ks []int, rng *rand.Rand) {
 	t.Helper()
 	ids := p.clusteringSpace()
-	swapped := permuted(d, rng)
+	swapped := scrambled(d, rng)
 	copied := materialize(swapped, ids)
 	for ci, l := range classes {
 		for _, k := range ks {
@@ -290,24 +287,22 @@ func checkStaleHops(t *testing.T, p *Peer, d *Dist, classes []float64, ks []int,
 	}
 }
 
-// permuted returns another snapshot of d's hosts: rows in another order
-// and every distance scaled by 1.5, so a table built over d would read
-// the wrong rows and the wrong distances in it.
-func permuted(d *Dist, rng *rand.Rand) *Dist {
-	n := len(d.hosts)
-	perm := rng.Perm(n)
-	out := &Dist{hosts: make([]int, n), index: make(map[int]int, n)}
-	for i, r := range perm {
-		out.hosts[i] = d.hosts[r]
-		out.index[out.hosts[i]] = i
-	}
-	out.m = metric.FromFunc(n, func(i, j int) float64 { return 1.5 * d.m.Dist(perm[i], perm[j]) })
-	return out
+// scrambled returns another snapshot of d's hosts: every distance
+// scaled by its own factor in [1, 2), so a table built over d would read
+// the wrong distances, in the wrong order, in it.
+func scrambled(d *Dist, rng *rand.Rand) *Dist {
+	m := metric.FromFunc(d.m.N(), func(i, j int) float64 { return (1 + rng.Float64()) * d.m.Dist(i, j) })
+	return &Dist{m: m, in: d.in}
+}
+
+// fullDist returns a snapshot holding every host of m.
+func fullDist(m *metric.Matrix) *Dist {
+	return &Dist{m: m, in: slices.Repeat([]bool{true}, m.N())}
 }
 
 // A converged network answers every local search from the tables: with
-// the snapshot's host index gone, a scan could not map V_p to rows and
-// would fail, yet every query from every host still gets its answer.
+// the snapshot's membership gone, a scan would reject V_p and fail, yet
+// every query from every host still gets its answer.
 func TestConvergedNetworkAnswersFromTables(t *testing.T) {
 	cfg := Config{NCut: DefaultNCut, Classes: classSpread()}
 	nw, _, _ := buildNetwork(t, 120, 0.2, cfg, 4)
@@ -327,7 +322,7 @@ func TestConvergedNetworkAnswersFromTables(t *testing.T) {
 			}
 		}
 	}
-	nw.dist.index = nil
+	nw.dist.in = nil
 	found := 0
 	for q, w := range want {
 		got, err := nw.Query(q.start, q.k, q.l)
@@ -410,4 +405,96 @@ func FuzzQueryHopMatchesMaterialized(f *testing.F) {
 		checkAgainstMaterialized(t, p, nw.dist, ids, materialize(nw.dist, ids), k, ci, cfg.Classes[ci])
 		checkStaleHops(t, p, nw.dist, cfg.Classes, []int{k}, rand.New(rand.NewSource(seed)))
 	})
+}
+
+// sparseTree returns a tree over hosts 9, 1 and 4 of a 12-host metric:
+// host 7 joined and departed, and hosts 0, 2, 3, 5, 6 and 8 never joined.
+func sparseTree(t *testing.T) *predtree.Tree {
+	t.Helper()
+	o := testutil.NoisyTreeMetric(12, 0.1, rand.New(rand.NewSource(5)))
+	tree, err := predtree.Build(o, 100, predtree.SearchFull, []int{9, 1, 7, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Remove(7); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// A snapshot is host-indexed: row h is host h, entries toward an id the
+// substrate never held or has lost are +Inf, and no lookup panics on an
+// id a wire message could carry.
+func TestDistSparseAndDepartedHosts(t *testing.T) {
+	tree := sparseTree(t)
+	want, hosts := tree.DistMatrix()
+	for _, n := range []int{0, 10, 16} {
+		d := NewDist(tree, n)
+		if got := d.Matrix().N(); got != max(n, 10) {
+			t.Fatalf("NewDist(tree, %d) is %d wide, want %d", n, got, max(n, 10))
+		}
+		for i, a := range hosts {
+			for j, b := range hosts {
+				if got := d.Between(a, b); got != want.Dist(i, j) || d.Matrix().Dist(a, b) != got {
+					t.Errorf("width %d: Between(%d, %d) = %v, matrix %v, want %v", n, a, b, got, d.Matrix().Dist(a, b), want.Dist(i, j))
+				}
+			}
+		}
+		if err := d.checkRows(hosts); err != nil {
+			t.Errorf("width %d: %v", n, err)
+		}
+		absent := []int{0, 7, 8}
+		if d.Matrix().N() > 10 {
+			absent = append(absent, d.Matrix().N()-1)
+		}
+		for _, h := range absent {
+			for _, g := range hosts {
+				if !math.IsInf(d.Matrix().Dist(h, g), 1) {
+					t.Errorf("width %d: matrix entry (%d, %d) = %v, want +Inf", n, h, g, d.Matrix().Dist(h, g))
+				}
+			}
+		}
+		for _, h := range append(absent, -1, d.Matrix().N(), 1<<40) {
+			if d.Has(h) {
+				t.Errorf("width %d: Has(%d) = true", n, h)
+			}
+			if !math.IsInf(d.Between(h, 1), 1) || !math.IsInf(d.Between(1, h), 1) || !math.IsInf(d.Between(h, h), 1) {
+				t.Errorf("width %d: Between with host %d is finite", n, h)
+			}
+			if err := d.checkRows([]int{1, h, 4}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("host %d ", h)) {
+				t.Errorf("width %d: checkRows error = %v, want one naming host %d", n, err, h)
+			}
+		}
+	}
+}
+
+// A network built over a snapshot shares it, and a snapshot that lacks
+// one of the substrate's hosts is refused.
+func TestNewNetworkOverSharesSnapshot(t *testing.T) {
+	tree := sparseTree(t)
+	cfg := Config{NCut: DefaultNCut, Classes: classSpread()}
+	d := NewDist(tree, 12)
+	nw, err := NewNetworkOver(tree, d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.dist != d {
+		t.Fatal("the network copied its snapshot")
+	}
+	if _, err := nw.Converge(0); err != nil {
+		t.Fatal(err)
+	}
+	if node, _, err := nw.FindNodeCentral([]int{1}, math.Inf(1)); err != nil || !d.Has(node) {
+		t.Errorf("FindNodeCentral = %d, %v; want a host of the substrate", node, err)
+	}
+	if _, _, err := nw.FindNodeCentral([]int{1, 7}, math.Inf(1)); err == nil {
+		t.Error("FindNodeCentral accepted a departed set member")
+	}
+	small, err := predtree.Build(testutil.NoisyTreeMetric(12, 0.1, rand.New(rand.NewSource(5))), 100, predtree.SearchFull, []int{9, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewNetworkOver(tree, NewDist(small, 12), cfg); err == nil || !strings.Contains(err.Error(), "host 4 ") {
+		t.Errorf("a snapshot without host 4: error = %v", err)
+	}
 }

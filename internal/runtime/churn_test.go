@@ -176,7 +176,7 @@ func TestChurnPartitionSuspectThenHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewWithTransport(tree, cfg, testTick, ft, nil)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestChurnSoakFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewWithTransport(tree, cfg, testTick, ft, nil)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

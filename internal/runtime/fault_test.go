@@ -76,7 +76,7 @@ func TestFaultMatrixMatchesFixedPoint(t *testing.T) {
 			// Feed the process recorder so a failure leaves a black box
 			// for TestMain's BWC_FLIGHT_DUMP artifact.
 			ft.SetFlight(telemetry.FlightDefault())
-			rt, err := NewWithTransport(tree, cfg, testTick, ft, nil)
+			rt, err := NewWithTransport(tree, nil, cfg, testTick, ft, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestPartitionHealsToFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft.SetFlight(telemetry.FlightDefault())
-	rt, err := NewWithTransport(tree, cfg, testTick, ft, nil)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestNewWithTransportValidation(t *testing.T) {
 	tree, _ := buildTree(t, 6, 0, 12)
 	tr := transport.NewChan(0)
 	defer tr.Close()
-	if _, err := NewWithTransport(tree, testConfig(), testTick, tr, []int{999}); err == nil {
+	if _, err := NewWithTransport(tree, nil, testConfig(), testTick, tr, []int{999}); err == nil {
 		t.Error("foreign local host should fail")
 	}
-	rt, err := NewWithTransport(tree, testConfig(), testTick, tr, []int{0, 1})
+	rt, err := NewWithTransport(tree, nil, testConfig(), testTick, tr, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func (rt *Runtime) AddHost(h int, o predtree.Oracle) error {
 	if err := dyn.Add(h, o); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
-	tbl := overlay.NewDist(rt.sub)
+	tbl := overlay.NewDist(rt.sub, 0)
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -141,7 +141,7 @@ func (rt *Runtime) repairOutHost(dyn RemovableSubstrate, h int) error {
 	}
 	delete(rt.peers, h)
 
-	rt.table.Store(overlay.NewDist(rt.sub))
+	rt.table.Store(overlay.NewDist(rt.sub, 0))
 
 	now := rt.ticks.Load()
 	for id, q := range rt.peers {

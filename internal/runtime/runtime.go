@@ -171,17 +171,19 @@ type peer struct {
 // tree or forest) over an internally owned in-process channel transport.
 // Start must be called to launch the peers; Stop shuts them down.
 func New(sub overlay.Substrate, cfg overlay.Config, tick time.Duration) (*Runtime, error) {
-	return NewWithTransport(sub, cfg, tick, nil, nil)
+	return NewWithTransport(sub, nil, cfg, tick, nil, nil)
 }
 
 // NewWithTransport builds a runtime over an explicit transport, hosting
-// only the given local hosts (nil: every substrate host). A nil tr means
+// only the given local hosts (nil: every substrate host). The peers read
+// d, a snapshot of sub's predicted distances that the runtime shares and
+// never writes; a nil d means a fresh snapshot of sub. A nil tr means
 // an internally owned channel transport. The substrate must describe the
 // whole network — including hosts served by other processes — so every
 // runtime derives the same overlay topology; remote peers are reached
 // through the transport's routing. The runtime closes tr on Stop only
 // when it created it.
-func NewWithTransport(sub overlay.Substrate, cfg overlay.Config, tick time.Duration, tr transport.Transport, local []int) (*Runtime, error) {
+func NewWithTransport(sub overlay.Substrate, d *overlay.Dist, cfg overlay.Config, tick time.Duration, tr transport.Transport, local []int) (*Runtime, error) {
 	if sub == nil || sub.Len() == 0 {
 		return nil, fmt.Errorf("runtime: empty prediction substrate")
 	}
@@ -212,13 +214,15 @@ func NewWithTransport(sub overlay.Substrate, cfg overlay.Config, tick time.Durat
 	// mirror the lock classes bwc-vet's static lockorder check derives.
 	rt.mu.SetClass("runtime.Runtime.mu")
 	rt.pendMu.SetClass("runtime.Runtime.pendMu")
-	tbl := overlay.NewDist(sub)
-	rt.table.Store(tbl)
+	if d == nil {
+		d = overlay.NewDist(sub, 0)
+	}
+	rt.table.Store(d)
 	if local == nil {
 		local = sub.Hosts()
 	}
 	for _, h := range local {
-		if !tbl.Has(h) {
+		if !d.Has(h) {
 			rt.closeOwnedTransport()
 			return nil, fmt.Errorf("runtime: local host %d is not in the substrate", h)
 		}
@@ -388,7 +392,7 @@ func (p *peer) handle(m transport.Message) {
 		p.rt.nodeInfoMsgs.Add(1)
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
-		p.lastGossip[m.From] = now
+		p.heardLocked(m.From, now)
 		if p.core.SetAggrNode(m.From, m.Nodes) {
 			p.rt.version.Add(1)
 		}
@@ -397,7 +401,7 @@ func (p *peer) handle(m transport.Message) {
 		p.rt.crtMsgs.Add(1)
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
-		p.lastGossip[m.From] = now
+		p.heardLocked(m.From, now)
 		if p.core.SetAggrCRT(m.From, m.CRT) {
 			p.rt.version.Add(1)
 		}
@@ -425,6 +429,15 @@ func (p *peer) handle(m transport.Message) {
 		// (internal/fleet), never to protocol peers; a chunk that reaches
 		// a peer anyway is a routing bug, not protocol state to act on.
 		p.rt.fl().Record(flightStale, p.id, m.From, "snapshot chunk addressed to a protocol peer; dropped")
+	}
+}
+
+// heardLocked refreshes the gossip watermark of neighbor from. Only a
+// neighbor has one: a late message over a link a departure spliced away
+// must not re-create the watermark, which would then never age out.
+func (p *peer) heardLocked(from int, now uint64) {
+	if _, ok := p.lastGossip[from]; ok {
+		p.lastGossip[from] = now
 	}
 }
 

@@ -305,6 +305,47 @@ func TestNonNeighborGossipKeepsVersion(t *testing.T) {
 	if got := rt.AggrNode(id, stranger); len(got) != 0 {
 		t.Errorf("peer %d stored node info %v from non-neighbor %d", id, got, stranger)
 	}
+	// The stranger gets no watermark, which would never age out; a
+	// neighbor's gossip still refreshes its own.
+	nb := rt.Neighbors(id)[0]
+	p.mu.Lock()
+	_, stamped := p.lastGossip[stranger]
+	p.lastGossip[nb] = 0
+	p.mu.Unlock()
+	if stamped {
+		t.Errorf("gossip from non-neighbor %d stamped a watermark at peer %d", stranger, id)
+	}
+	before := rt.Ticks()
+	p.handle(transport.Message{Kind: transport.KindCRT, From: nb, To: id, CRT: rt.CRT(id, nb)})
+	p.mu.Lock()
+	last := p.lastGossip[nb]
+	p.mu.Unlock()
+	if last < before {
+		t.Errorf("gossip from neighbor %d left its watermark at %d, want >= %d", nb, last, before)
+	}
+}
+
+// A runtime handed a snapshot reads it and builds none; without one it
+// snapshots the substrate itself.
+func TestNewWithTransportSharesSnapshot(t *testing.T) {
+	tree, _ := buildTree(t, 12, 0.2, 9)
+	d := overlay.NewDist(tree, 20)
+	rt, err := NewWithTransport(tree, d, testConfig(), testTick, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	if rt.table.Load() != d {
+		t.Error("the runtime built its own snapshot")
+	}
+	own, err := New(tree, testConfig(), testTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer own.Stop()
+	if tbl := own.table.Load(); tbl == nil || tbl == d || !tbl.Has(tree.Hosts()[0]) {
+		t.Error("New did not snapshot the substrate")
+	}
 }
 
 func TestStopTerminatesQuickly(t *testing.T) {

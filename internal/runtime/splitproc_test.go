@@ -72,7 +72,7 @@ func TestSplitProcessChild(t *testing.T) {
 	for _, h := range parentHosts {
 		tr.AddRoute(h, parentAddr)
 	}
-	rt, err := NewWithTransport(tree, cfg, testTick, tr, childHosts)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, tr, childHosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTwoProcessTracedQuery(t *testing.T) {
 	for _, h := range childHosts {
 		trA.AddRoute(h, childAddr)
 	}
-	rt, err := NewWithTransport(tree, cfg, testTick, trA, parentHosts)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, trA, parentHosts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,11 +73,11 @@ func TestTCPSplitRuntimeMatchesFixedPoint(t *testing.T) {
 		trB.AddRoute(h, trA.Addr())
 	}
 
-	rtA, err := NewWithTransport(tree, cfg, testTick, trA, hostsA)
+	rtA, err := NewWithTransport(tree, nil, cfg, testTick, trA, hostsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := NewWithTransport(tree, cfg, testTick, trB, hostsB)
+	rtB, err := NewWithTransport(tree, nil, cfg, testTick, trB, hostsB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestTracedQueryGapsNotCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewWithTransport(tree, cfg, testTick, ft, nil)
+	rt, err := NewWithTransport(tree, nil, cfg, testTick, ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestTCPSplitTracedQuery(t *testing.T) {
 	for _, h := range hostsA {
 		trB.AddRoute(h, trA.Addr())
 	}
-	rtA, err := NewWithTransport(tree, cfg, testTick, trA, hostsA)
+	rtA, err := NewWithTransport(tree, nil, cfg, testTick, trA, hostsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := NewWithTransport(tree, cfg, testTick, trB, hostsB)
+	rtB, err := NewWithTransport(tree, nil, cfg, testTick, trB, hostsB)
 	if err != nil {
 		t.Fatal(err)
 	}

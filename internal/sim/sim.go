@@ -105,11 +105,13 @@ type Framework struct {
 	BW       *metric.Matrix // ground truth bandwidth (Mbps)
 	RealDist *metric.Matrix // rational transform of BW
 	Forest   *predtree.Forest
-	PredDist *metric.Matrix // predicted (median) distances, host-indexed
+	PredDist *metric.Matrix // predicted (median) distances: dist's matrix
 	TreeIdx  *cluster.Index // Algorithm 1 index over PredDist
 	Net      *overlay.Network
 	Emb      *vivaldi.Embedding
 	EuclIdx  *kdiam.Index
+
+	dist *overlay.Dist // the one snapshot Net and the async runtimes read
 }
 
 // BuildFramework constructs the frameworks for one round: hosts join the
@@ -140,23 +142,14 @@ func BuildFramework(bw *metric.Matrix, cfg FrameworkConfig, rng *rand.Rand) (*Fr
 	if err != nil {
 		return nil, fmt.Errorf("sim: build prediction forest: %w", err)
 	}
-	f := &Framework{C: cfg.C, BW: bw, RealDist: realDist, Forest: forest}
-
-	// Host-indexed predicted distances.
-	dm, hosts := forest.DistMatrix()
-	pred := metric.NewMatrix(bw.N())
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
-		}
-	}
-	f.PredDist = pred
-	if f.TreeIdx, err = cluster.NewIndexParallelAt(pred, cfg.Parallelism, forest.Epoch()); err != nil {
+	dist := overlay.NewDist(forest, bw.N())
+	f := &Framework{C: cfg.C, BW: bw, RealDist: realDist, Forest: forest, PredDist: dist.Matrix(), dist: dist}
+	if f.TreeIdx, err = cluster.NewIndexParallelAt(f.PredDist, cfg.Parallelism, forest.Epoch()); err != nil {
 		return nil, fmt.Errorf("sim: tree cluster index: %w", err)
 	}
 
 	if len(cfg.Classes) > 0 {
-		net, err := overlay.NewNetwork(forest, overlay.Config{NCut: cfg.NCut, Classes: cfg.Classes})
+		net, err := overlay.NewNetworkOver(forest, dist, overlay.Config{NCut: cfg.NCut, Classes: cfg.Classes})
 		if err != nil {
 			return nil, fmt.Errorf("sim: overlay: %w", err)
 		}

@@ -64,6 +64,14 @@ func TestBuildFramework(t *testing.T) {
 	if fw.Net == nil || fw.Emb == nil || fw.EuclIdx == nil || fw.TreeIdx == nil {
 		t.Fatal("framework components missing")
 	}
+	// One snapshot: PredDist is its matrix, and the overlay (whose field
+	// is unexported in its package) reads the same snapshot.
+	if fw.PredDist != fw.dist.Matrix() {
+		t.Error("PredDist is not the snapshot's matrix")
+	}
+	if reflect.ValueOf(fw.Net).Elem().FieldByName("dist").Pointer() != reflect.ValueOf(fw.dist).Pointer() {
+		t.Error("the overlay reads another snapshot")
+	}
 	if bwp := fw.PredictedBandwidth(0, 1); bwp <= 0 {
 		t.Errorf("predicted bandwidth %v", bwp)
 	}

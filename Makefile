@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint test bench-module race bench bench-smoke bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check clean
+.PHONY: all build fmt lint test bench-module bench-run race bench bench-smoke bench-gate ci fuzz-smoke fault-matrix faults trace churn bandwidth soak soak-smoke figures figures-check clean
 
 all: build test
 
@@ -38,6 +38,22 @@ test:
 # run. About 5 s.
 bench-module:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Runs the benchmark itself, not only its tests: one short untraced run
+# per workload, each of which must end with a report line saying
+# "correct":true and "failed":0. Untraced, because a 1 s traced run
+# fails its own thin-tail percentile check by design. The first build
+# takes about 30 s, then each workload about 6 s on 2 vCPUs.
+bench-run:
+	@for w in central decentral; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0'[,}]*) ;; \
+		*) echo "bench-run: the $$w run is not correct with 0 failed" >&2; exit 1 ;; \
+		esac; \
+	done
 
 race:
 	$(GO) test -race ./...
@@ -99,11 +115,12 @@ soak-smoke: build
 		-shards 3 -series results/soak_series.txt
 
 # The full CI gate, in the workflow's order: lint (gofmt + bwc-vet)
-# first, then build+vet, tests, the benchmark module, the race detector, the fuzz smoke, the
+# first, then build+vet, tests, the benchmark module and one short run
+# of the benchmark, the race detector, the fuzz smoke, the
 # fault matrix, the churn soak, the serving-tier soak smoke,
 # the figure byte-identity check, one iteration of every bench, and the
 # benchmark performance gate.
-ci: lint build test bench-module race fuzz-smoke fault-matrix churn soak-smoke figures-check bench-smoke bench-gate
+ci: lint build test bench-module bench-run race fuzz-smoke fault-matrix churn soak-smoke figures-check bench-smoke bench-gate
 
 # The deterministic series, each written to FIGDIR/<name>.txt by bwc-sim
 # with the flags SERIES_<name>: the seven Fig. 3-6 series, the five

@@ -55,7 +55,7 @@ func (s *System) AsyncRuntimeWithTransport(tick time.Duration, tr transport.Tran
 	if tick <= 0 {
 		tick = DefaultAsyncTick
 	}
-	rt, err := runtime.NewWithTransport(s.forest, s.dist, s.ovCfg, tick, tr, local)
+	rt, err := runtime.NewWithTransport(s.state.Forest, s.state.Dist, s.ovCfg, tick, tr, local)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: async runtime: %w", err)
 	}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"bwcluster/internal/cluster"
+	"bwcluster/internal/construct"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/predtree"
@@ -41,18 +42,13 @@ import (
 )
 
 // DefaultC is the default rational-transform constant (d = C/BW).
-const DefaultC = 100.0
+const DefaultC = metric.DefaultC
 
 // options collects the functional options.
 type options struct {
-	c           float64
-	nCut        int
-	trees       int
-	classes     []float64 // bandwidth classes (Mbps)
-	centralized bool
-	seed        int64
-	seedSet     bool
-	parallelism int // 0: one worker per CPU
+	cfg     construct.Config // New and NewLatency set cfg.Overlay.Classes
+	classes []float64        // bandwidth classes (Mbps)
+	seed    int64
 }
 
 // Option customizes System construction.
@@ -65,7 +61,7 @@ func WithConstant(c float64) Option {
 		if !(c > 0) || math.IsInf(c, 1) { // negated so NaN fails too
 			return fmt.Errorf("bwcluster: constant must be positive and finite, got %v", c)
 		}
-		o.c = c
+		o.cfg.C = c
 		return nil
 	}
 }
@@ -78,7 +74,7 @@ func WithNCut(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("bwcluster: n_cut must be >= 1, got %d", n)
 		}
-		o.nCut = n
+		o.cfg.Overlay.NCut = n
 		return nil
 	}
 }
@@ -111,7 +107,7 @@ func WithTrees(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("bwcluster: tree count must be >= 1, got %d", n)
 		}
-		o.trees = n
+		o.cfg.Trees = n
 		return nil
 	}
 }
@@ -121,7 +117,7 @@ func WithTrees(n int) Option {
 // measures more but removes one heuristic from the pipeline.
 func WithCentralizedConstruction() Option {
 	return func(o *options) error {
-		o.centralized = true
+		o.cfg.Search = predtree.SearchFull
 		return nil
 	}
 }
@@ -132,7 +128,6 @@ func WithCentralizedConstruction() Option {
 func WithSeed(seed int64) Option {
 	return func(o *options) error {
 		o.seed = seed
-		o.seedSet = true
 		return nil
 	}
 }
@@ -148,7 +143,7 @@ func WithParallelism(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("bwcluster: parallelism must be >= 1, got %d", n)
 		}
-		o.parallelism = n
+		o.cfg.Workers = n
 		return nil
 	}
 }
@@ -165,9 +160,8 @@ func WithParallelism(n int) Option {
 // guarantee is exercised by TestSystemConcurrentUse under the race
 // detector.
 type System struct {
-	derived
+	state   construct.State
 	c       float64
-	nCut    int
 	workers int // worker-pool bound for parallel paths (>= 1)
 	bw      *metric.Matrix
 	ovCfg   overlay.Config // overlay parameters, kept for AsyncRuntime
@@ -208,37 +202,35 @@ func New(bandwidth [][]float64, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := metric.DistanceFromBandwidth(bw, o.c)
+	dist, err := metric.DistanceFromBandwidth(bw, o.cfg.C)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
 	o.defaultClasses(bw, 10)
-	distClasses, err := overlay.ClassesFromBandwidths(o.classes, o.c)
+	if o.cfg.Overlay.Classes, err = overlay.ClassesFromBandwidths(o.classes, o.cfg.C); err != nil {
+		return nil, fmt.Errorf("bwcluster: %w", err)
+	}
+	st, err := construct.Build(dist, o.cfg, rand.New(rand.NewSource(o.seed)))
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
-	ovCfg := overlay.Config{NCut: o.nCut, Classes: distClasses}
-	workers := cluster.Workers(o.parallelism, 0)
-	d, err := o.build(dist, ovCfg, workers)
-	if err != nil {
-		return nil, err
-	}
 	mBuildSeconds.Set(time.Since(buildStart).Seconds())
 	return &System{
-		derived: d, c: o.c, nCut: o.nCut, workers: workers, parallelism: o.parallelism,
-		bw: bw, ovCfg: ovCfg, classes: o.classes,
+		state: st, c: o.cfg.C, workers: cluster.Workers(o.cfg.Workers, 0), parallelism: o.cfg.Workers,
+		bw: bw, ovCfg: o.cfg.Overlay, classes: o.classes,
 	}, nil
 }
 
 // prepare applies opts over the defaults New and NewLatency share and
 // symmetrizes their input matrix.
 func prepare(input [][]float64, opts []Option) (options, *metric.Matrix, error) {
-	o := options{c: DefaultC, nCut: overlay.DefaultNCut, trees: 3, seed: 1}
+	o := options{seed: 1}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return o, nil, err
 		}
 	}
+	o.cfg = o.cfg.WithDefaults()
 	m, err := metric.Symmetrize(input)
 	if err != nil {
 		return o, nil, fmt.Errorf("bwcluster: %w", err)
@@ -271,56 +263,6 @@ func (o *options) defaultClasses(m *metric.Matrix, from float64) {
 	sort.Float64s(o.classes)
 }
 
-// build embeds the hosts of dist into a prediction forest with o's
-// search mode, tree count and seed, and derives the query state from it.
-func (o *options) build(dist *metric.Matrix, cfg overlay.Config, workers int) (derived, error) {
-	mode := predtree.SearchAnchor
-	if o.centralized {
-		mode = predtree.SearchFull
-	}
-	rng := rand.New(rand.NewSource(o.seed))
-	forest, err := predtree.BuildForestParallel(dist, o.c, mode, o.trees, rng, workers)
-	if err != nil {
-		return derived{}, fmt.Errorf("bwcluster: build prediction forest: %w", err)
-	}
-	d, err := derive(forest, dist.N(), cfg, workers)
-	if err != nil {
-		return derived{}, fmt.Errorf("bwcluster: %w", err)
-	}
-	return d, nil
-}
-
-// derived is the query state New, Load and NewLatency all build from a
-// prediction forest: the predicted-distance snapshot, its cluster index,
-// and the converged overlay over the same snapshot.
-type derived struct {
-	forest  *predtree.Forest
-	dist    *overlay.Dist
-	pred    *metric.Matrix // dist's host-indexed matrix
-	treeIdx *cluster.Index
-	net     *overlay.Network
-}
-
-// derive builds the query state over a forest whose hosts are drawn from
-// an n-host measurement matrix. One snapshot, n wide, holds the
-// predicted distances: the cluster index, the overlay and every async
-// runtime read it.
-func derive(forest *predtree.Forest, n int, cfg overlay.Config, workers int) (derived, error) {
-	dist := overlay.NewDist(forest, n)
-	net, err := overlay.NewNetworkOver(forest, dist, cfg)
-	if err != nil {
-		return derived{}, err
-	}
-	treeIdx, err := cluster.NewIndexParallelAt(dist.Matrix(), workers, forest.Epoch())
-	if err != nil {
-		return derived{}, err
-	}
-	if _, err := net.Converge(0); err != nil {
-		return derived{}, fmt.Errorf("converge overlay: %w", err)
-	}
-	return derived{forest: forest, dist: dist, pred: dist.Matrix(), treeIdx: treeIdx, net: net}, nil
-}
-
 // Len reports the number of hosts.
 func (s *System) Len() int { return s.bw.N() }
 
@@ -332,13 +274,13 @@ func (s *System) Parallelism() int { return s.workers }
 // built. Two systems at the same epoch built from the same inputs hold
 // identical forests, which is what lets the serving tier key replica
 // freshness and query-cache validity on this single number.
-func (s *System) Epoch() uint64 { return s.forest.Epoch() }
+func (s *System) Epoch() uint64 { return s.state.Forest.Epoch() }
 
 // Hosts returns the ids of the hosts currently in the overlay, in join
 // order — the live membership after any churn, as opposed to Len,
 // which reports the measurement matrix's full width. The fleet's
 // rendezvous assignment partitions exactly this set across shards.
-func (s *System) Hosts() []int { return s.net.Hosts() }
+func (s *System) Hosts() []int { return s.state.Net.Hosts() }
 
 // Constant returns the rational-transform constant in use.
 func (s *System) Constant() float64 { return s.c }
@@ -363,7 +305,7 @@ func (s *System) PredictBandwidth(u, v int) (float64, error) {
 	if u == v {
 		return 0, fmt.Errorf("bwcluster: bandwidth of a host with itself is undefined")
 	}
-	d := s.pred.Dist(u, v)
+	d := s.state.PredDist.Dist(u, v)
 	if d <= 0 {
 		return s.c / 1e-9, nil
 	}
@@ -389,18 +331,22 @@ func (s *System) checkHost(h int) error {
 }
 
 // FindCluster runs the centralized Algorithm 1 over the predicted
-// bandwidths: it returns k hosts predicted to share at least minBandwidth
-// Mbps pairwise, or nil if the system concludes none exist. The answer
-// comes from the index built at construction: a binary search over a
-// per-k table built on first use, always matching the sequential scan's
-// answer. Safe for concurrent use.
+// bandwidths: it returns k hosts drawn from the clustering space of a
+// host pair (p, q) predicted to share at least minBandwidth Mbps, every
+// member predicted at least minBandwidth to both p and q, or nil if no
+// pair's space holds k hosts. All member pairs meet minBandwidth only
+// when the predictions form a tree metric; the median of several trees
+// (the default) is only approximately one, so some returned pairs may
+// be predicted below it. The answer comes from the index built at
+// construction: a binary search over a per-k table built on first use,
+// always matching the sequential scan's answer. Safe for concurrent use.
 func (s *System) FindCluster(k int, minBandwidth float64) ([]int, error) {
 	t0 := time.Now()
 	l, err := metric.DistanceForBandwidthConstraint(minBandwidth, s.c)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
-	members, err := s.treeIdx.Find(k, l)
+	members, err := s.state.TreeIdx.Find(k, l)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
@@ -411,8 +357,12 @@ func (s *System) FindCluster(k int, minBandwidth float64) ([]int, error) {
 // Query runs the decentralized protocol (Algorithm 4): the query enters
 // the overlay at start and is routed toward a region whose cluster
 // routing tables promise a big-enough cluster. minBandwidth snaps UP to
-// the nearest configured bandwidth class, so returned clusters always
-// meet the requested constraint (on predicted bandwidth). Queries only
+// the nearest configured bandwidth class, and the answering peer runs
+// Algorithm 1 at that class over its clustering space, so every member
+// is predicted at least the class to both hosts of the pair anchoring
+// the answer. As with FindCluster, all member pairs meet it only when
+// the predictions form a tree metric, which the default median of
+// several trees only approximates. Queries only
 // read the converged overlay state (a local cluster search reads the
 // ladder table its peer built at convergence, and two rows of the shared
 // distance snapshot), so Query is safe for concurrent use.
@@ -425,7 +375,7 @@ func (s *System) Query(start, k int, minBandwidth float64) (QueryResult, error) 
 	if err != nil {
 		return QueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
-	res, err := s.net.Query(start, k, l)
+	res, err := s.state.Net.Query(start, k, l)
 	if err != nil {
 		return QueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
@@ -442,7 +392,7 @@ func (s *System) Neighbors(h int) ([]int, error) {
 	if err := s.checkHost(h); err != nil {
 		return nil, err
 	}
-	return s.net.Neighbors(h), nil
+	return s.state.Net.Neighbors(h), nil
 }
 
 // DistanceLabel renders a host's distance label — the compact coordinate
@@ -452,7 +402,7 @@ func (s *System) DistanceLabel(h int) (string, error) {
 	if err := s.checkHost(h); err != nil {
 		return "", err
 	}
-	label, err := s.forest.Primary().Label(h)
+	label, err := s.state.Forest.Primary().Label(h)
 	if err != nil {
 		return "", fmt.Errorf("bwcluster: %w", err)
 	}
@@ -464,7 +414,7 @@ func (s *System) DistanceLabel(h int) (string, error) {
 // transform, exact in tree metric spaces), together with that worst-pair
 // bandwidth. Members is nil when the system has fewer than k hosts.
 func (s *System) TightestCluster(k int) (members []int, worstBandwidth float64, err error) {
-	sel, _, err := cluster.MinDiameter(s.pred, k)
+	sel, _, err := cluster.MinDiameter(s.state.PredDist, k)
 	if err != nil {
 		return nil, 0, fmt.Errorf("bwcluster: %w", err)
 	}
@@ -474,7 +424,7 @@ func (s *System) TightestCluster(k int) (members []int, worstBandwidth float64, 
 	// Report the diameter actually achieved by the returned set (the
 	// median-of-trees prediction is only approximately a tree metric, so
 	// the determining pair's distance can be a hair optimistic).
-	diam := metric.Diameter(s.pred, sel)
+	diam := metric.Diameter(s.state.PredDist, sel)
 	if diam <= 0 {
 		return sel, s.c / 1e-9, nil
 	}
@@ -511,7 +461,7 @@ func (s *System) FindNodeForSet(set []int, minBandwidth float64) (NodeQueryResul
 	if err != nil {
 		return NodeQueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
-	node, radius, err := cluster.FindNodeForSet(s.pred, set, l)
+	node, radius, err := cluster.FindNodeForSet(s.state.PredDist, set, l)
 	if err != nil {
 		return NodeQueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
@@ -532,7 +482,7 @@ func (s *System) QueryNode(start int, set []int, minBandwidth float64) (NodeQuer
 	if err != nil {
 		return NodeQueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
-	res, err := s.net.QueryNode(start, set, l)
+	res, err := s.state.Net.QueryNode(start, set, l)
 	if err != nil {
 		return NodeQueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
@@ -569,14 +519,14 @@ type SystemStats struct {
 
 // Stats reports construction and protocol costs.
 func (s *System) Stats() SystemStats {
-	shape := s.forest.Primary().AnchorStats()
+	shape := s.state.Forest.Primary().AnchorStats()
 	return SystemStats{
 		Hosts:            s.bw.N(),
-		Trees:            s.forest.Size(),
-		Measurements:     s.forest.Measurements(),
-		DistinctPairs:    s.forest.DistinctMeasurements(),
-		GossipRounds:     s.net.Rounds(),
-		GossipMessages:   s.net.Stats().Messages(),
+		Trees:            s.state.Forest.Size(),
+		Measurements:     s.state.Forest.Measurements(),
+		DistinctPairs:    s.state.Forest.DistinctMeasurements(),
+		GossipRounds:     s.state.Net.Rounds(),
+		GossipMessages:   s.state.Net.Stats().Messages(),
 		OverlayMaxDepth:  shape.MaxDepth,
 		OverlayAvgDepth:  shape.AvgDepth,
 		OverlayMaxDegree: shape.MaxDegree,
@@ -600,9 +550,9 @@ func (s *System) RoutingTable(h int) (self []int, entries []CRTEntry, err error)
 	}
 	// The overlay indexes CRTs by ascending DISTANCE class, which is
 	// descending bandwidth; reverse so the slices align with Classes().
-	self = reverseInts(s.net.SelfCRT(h))
-	for _, nb := range s.net.Neighbors(h) {
-		entries = append(entries, CRTEntry{Neighbor: nb, MaxSizes: reverseInts(s.net.CRT(h, nb))})
+	self = reverseInts(s.state.Net.SelfCRT(h))
+	for _, nb := range s.state.Net.Neighbors(h) {
+		entries = append(entries, CRTEntry{Neighbor: nb, MaxSizes: reverseInts(s.state.Net.CRT(h, nb))})
 	}
 	return self, entries, nil
 }
@@ -617,13 +567,13 @@ func reverseInts(xs []int) []int {
 // WritePredictionDOT renders the primary prediction tree in Graphviz DOT
 // format (hosts as boxes, inner nodes as circles, edge weights labelled).
 func (s *System) WritePredictionDOT(w io.Writer) error {
-	return s.forest.Primary().WritePredictionDOT(w)
+	return s.state.Forest.Primary().WritePredictionDOT(w)
 }
 
 // WriteAnchorDOT renders the overlay (anchor tree) in Graphviz DOT
 // format.
 func (s *System) WriteAnchorDOT(w io.Writer) error {
-	return s.forest.Primary().WriteAnchorDOT(w)
+	return s.state.Forest.Primary().WriteAnchorDOT(w)
 }
 
 // MaxClusterSize reports the largest cluster size any query with the
@@ -633,5 +583,5 @@ func (s *System) MaxClusterSize(minBandwidth float64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bwcluster: %w", err)
 	}
-	return s.treeIdx.MaxSize(l), nil
+	return s.state.TreeIdx.MaxSize(l), nil
 }

@@ -100,6 +100,7 @@ func DefaultConfig() *Config {
 		mod + "/internal/metric",
 		mod + "/internal/predtree",
 		mod + "/internal/cluster",
+		mod + "/internal/construct",
 		mod + "/internal/kdiam",
 		mod + "/internal/membership",
 		mod + "/internal/overlay",

@@ -342,17 +342,6 @@ func NewIndex(s metric.Space) (*Index, error) {
 // index from the current forest and retry rather than serve the answer.
 var ErrStaleIndex = errors.New("cluster: index is stale")
 
-// NewIndexAt builds the query index for s and tags it with the
-// membership epoch (predtree.Forest.Epoch) the space was derived at.
-func NewIndexAt(s metric.Space, epoch uint64) (*Index, error) {
-	ix, err := NewIndex(s)
-	if err != nil {
-		return nil, err
-	}
-	ix.epoch = epoch
-	return ix, nil
-}
-
 // finishIndex derives the sorted-pair tables from the precomputed
 // |S*pq| sizes and assembles the index.
 func finishIndex(s metric.Space, n int, lexSizes []int32) *Index {
@@ -506,7 +495,7 @@ func Climb(ladder []Rung, k int) (Rung, bool) {
 }
 
 // Epoch reports the membership epoch the index was built at (zero for
-// indexes built with plain NewIndex/NewIndexParallel).
+// indexes built with plain NewIndex).
 func (ix *Index) Epoch() uint64 { return ix.epoch }
 
 // FindAt answers a (k, l) query like Find, but first checks that the

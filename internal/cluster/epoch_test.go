@@ -12,7 +12,7 @@ import (
 // tables describing hosts that no longer exist.
 func TestFindAtRejectsStaleIndex(t *testing.T) {
 	m := lineMetric(0, 1, 2, 10, 11)
-	ix, err := NewIndexAt(m, 7)
+	ix, err := NewIndexParallelAt(m, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewIndex: %v", err)
 		}
-		ixPar, err := NewIndexParallel(m, 3)
+		ixPar, err := NewIndexParallelAt(m, 3, 0)
 		if err != nil {
-			t.Fatalf("NewIndexParallel: %v", err)
+			t.Fatalf("NewIndexParallelAt: %v", err)
 		}
 		// At a pair distance and just below it, where the answer may move
 		// to a later pair; the second query reuses the first one's table.

@@ -103,31 +103,27 @@ func forRowsParallel(n, workers int, fn func(p int)) {
 	wg.Wait()
 }
 
-// NewIndexParallel builds the same index NewIndex builds, sharding the
-// O(n^3) |S*pq| precomputation across workers. workers < 1 uses one
-// worker per CPU; the space must be safe for concurrent Dist calls.
-func NewIndexParallel(s metric.Space, workers int) (*Index, error) {
+// NewIndexParallelAt builds the same index NewIndex builds, sharding
+// the O(n^3) |S*pq| precomputation across workers, and tags it with the
+// membership epoch (predtree.Forest.Epoch) the space was derived at (see
+// FindAt for the staleness contract). workers < 1 uses one worker per
+// CPU; the space must be safe for concurrent Dist calls.
+func NewIndexParallelAt(s metric.Space, workers int, epoch uint64) (ix *Index, err error) {
 	if s == nil {
 		return nil, errNilSpace()
 	}
 	n := s.N()
-	workers = Workers(workers, n)
-	if workers == 1 || n < minParallelN {
-		return NewIndex(s)
+	if workers = Workers(workers, n); workers == 1 || n < minParallelN {
+		ix, err = NewIndex(s)
+	} else {
+		lexSizes := make([]int32, n*n)
+		forRowsParallel(n, workers, func(p int) {
+			for q := p + 1; q < n; q++ {
+				lexSizes[p*n+q] = int32(countMembers(s, p, q))
+			}
+		})
+		ix = finishIndex(s, n, lexSizes)
 	}
-	lexSizes := make([]int32, n*n)
-	forRowsParallel(n, workers, func(p int) {
-		for q := p + 1; q < n; q++ {
-			lexSizes[p*n+q] = int32(countMembers(s, p, q))
-		}
-	})
-	return finishIndex(s, n, lexSizes), nil
-}
-
-// NewIndexParallelAt is NewIndexParallel plus the membership-epoch tag
-// NewIndexAt attaches (see FindAt for the staleness contract).
-func NewIndexParallelAt(s metric.Space, workers int, epoch uint64) (*Index, error) {
-	ix, err := NewIndexParallel(s, workers)
 	if err != nil {
 		return nil, err
 	}

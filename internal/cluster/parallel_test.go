@@ -37,7 +37,7 @@ func TestNewIndexParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewIndexParallel(s, 6)
+		par, err := NewIndexParallelAt(s, 6, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func builtTables(ix *Index) int {
 // answer must match the sequential reference.
 func TestIndexConcurrentQueries(t *testing.T) {
 	s := randomSpace(90, 11)
-	ix, err := NewIndexParallel(s, 0)
+	ix, err := NewIndexParallelAt(s, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func BenchmarkIndexBuildParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewIndexParallel(s, 0); err != nil {
+			if _, err := NewIndexParallelAt(s, 0, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

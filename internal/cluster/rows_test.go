@@ -81,7 +81,7 @@ func TestRowPathIndexMatchesDistPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ixP, err := NewIndexParallel(m, 3)
+			ixP, err := NewIndexParallelAt(m, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,18 +177,11 @@ func (nw *Network) reload(d *Dist) {
 	}
 }
 
-// Refresh picks up hosts added to the underlying tree since the network
-// was built (used by dynamic-membership scenarios). Existing aggregation
-// state is kept and re-converged incrementally.
-func (nw *Network) Refresh() {
-	nw.reload(NewDist(nw.sub, 0))
-}
-
-// Resync picks up membership changes in the underlying substrate —
-// including removals, which Refresh alone does not handle: surviving
-// peers' node-info aggregation may still reference departed hosts, and
-// those records must be dropped before the next round reads them (the
-// reloaded snapshot no longer holds departed hosts).
+// Resync picks up membership changes in the underlying substrate, both
+// joins and removals. On a removal, surviving peers' node-info
+// aggregation may still reference departed hosts, and those records
+// must be dropped before the next round reads them (the reloaded
+// snapshot no longer holds departed hosts).
 // Aggregation state mentioning only surviving hosts is kept, so
 // re-convergence after a removal is incremental: stale values flush out
 // within the anchor-tree diameter because every round overwrites them

@@ -393,7 +393,7 @@ func TestRefreshPicksUpNewHosts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nw.Refresh()
+	nw.Resync()
 	if _, err := nw.Converge(0); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import "fmt"
 // re-runs Converge to rebuild it; predictions for the remaining pairs are
 // unaffected (their embedding does not involve the departed leaf).
 //
-// Note Refresh re-reads the substrate and therefore resurrects removed
+// Note Resync re-reads the substrate and therefore resurrects removed
 // hosts; removal is an overlay-level operation for failure scenarios.
 func (nw *Network) RemoveHost(h int) error {
 	p, ok := nw.peers[h]

@@ -63,7 +63,7 @@ func TestChurnAutoEvictsDeadHost(t *testing.T) {
 	// Index the pre-churn space at the pre-churn epoch; it must reject
 	// post-churn queries below.
 	dist, _ := tree.DistMatrix()
-	ix, err := cluster.NewIndexAt(dist, tree.Epoch())
+	ix, err := cluster.NewIndexParallelAt(dist, 1, tree.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ func TestChurnSoakFixedPoint(t *testing.T) {
 	// The pre-churn membership epoch no longer matches: an index tagged
 	// with it refuses to answer.
 	distM, _ := tree.DistMatrix()
-	ix, err := cluster.NewIndexAt(distM, tk.Epoch()-1)
+	ix, err := cluster.NewIndexParallelAt(distM, 1, tk.Epoch()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.FindAt(tree.Epoch(), 3, 64); !errors.Is(err, cluster.ErrStaleIndex) {
 		t.Fatalf("stale index error = %v, want ErrStaleIndex", err)
 	}
-	if _, err := cluster.NewIndexAt(distM, tree.Epoch()); err != nil {
+	if _, err := cluster.NewIndexParallelAt(distM, 1, tree.Epoch()); err != nil {
 		t.Fatal(err)
 	}
 	_ = overlay.Stats{} // keep the overlay import for the reference engine

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -27,7 +28,8 @@ type AccuracyConfig struct {
 	Rounds int
 	// NCut is the overlay propagation cutoff.
 	NCut int
-	// Trees overrides the prediction-forest size (0: DefaultTrees).
+	// Trees overrides the prediction-forest size (0:
+	// construct.DefaultTrees).
 	Trees int
 	// C is the rational-transform constant.
 	C float64
@@ -167,10 +169,9 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{
-			C: cfg.C, NCut: cfg.NCut, Trees: cfg.Trees, Classes: classes, Euclid: true,
-			Parallelism: workers,
-		}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{
+			C: cfg.C, Trees: cfg.Trees, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: workers,
+		}, Euclid: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: accuracy round %d: %w", round, err)
 		}

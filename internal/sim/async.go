@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -86,7 +87,7 @@ func (c *AsyncConfig) setup(ds Dataset, what string) (asyncSetup, error) {
 		return asyncSetup{}, err
 	}
 	s.ovCfg = overlay.Config{NCut: c.NCut, Classes: classes}
-	if s.fw, err = BuildFramework(bw, FrameworkConfig{C: c.C, NCut: c.NCut, Classes: classes}, dataRng); err != nil {
+	if s.fw, err = BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: c.C, Overlay: s.ovCfg}}, dataRng); err != nil {
 		return asyncSetup{}, fmt.Errorf("sim: %s framework: %w", what, err)
 	}
 	return s, nil

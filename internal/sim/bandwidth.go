@@ -132,7 +132,7 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	tr.SetLedger(ledger)
 	deliveredBefore := transport.DeliveredTotal()
 
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.dist, s.ovCfg, cfg.Tick, tr, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, tr, nil)
 	if err != nil {
 		tr.Close()
 		return nil, err

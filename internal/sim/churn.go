@@ -236,7 +236,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 		// Tag a cluster index with the pre-epoch membership epoch; churn
 		// below must invalidate it.
 		distM, _ := tree.DistMatrix()
-		ix, err := cluster.NewIndexAt(distM, tree.Epoch())
+		ix, err := cluster.NewIndexParallelAt(distM, 1, tree.Epoch())
 		if err != nil {
 			return pt, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -125,9 +126,6 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 	if cfg.C <= 0 {
 		cfg.C = metric.DefaultC
 	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
 	topo, err := dataset.NewTopology(dsCfg.WithN(cfg.N), dataRng)
@@ -143,7 +141,7 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fwCfg := FrameworkConfig{C: cfg.C, NCut: cfg.NCut, Classes: classes}
+	fwCfg := FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}}}
 
 	// The stale frameworks share the epoch-0 refresh seeds, so both sides
 	// start identical and the curves separate only through drift.

@@ -153,7 +153,7 @@ func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.dist, s.ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -111,9 +112,6 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 	if cfg.C <= 0 {
 		cfg.C = metric.DefaultC
 	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
 	base, err := dataset.Generate(baseCfg, dataRng)
@@ -148,7 +146,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 			}
 			for round := 0; round < cfg.Rounds; round++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + 80000 + int64(n)*257 + int64(ds)*17 + int64(round)))
-				fw, err := BuildFramework(bw, FrameworkConfig{C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: 1}, rng)
+				fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: 1}}, rng)
 				if err != nil {
 					return fmt.Errorf("sim: scalability n=%d: %w", n, err)
 				}

@@ -10,12 +10,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"bwcluster/internal/cluster"
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/kdiam"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
-	"bwcluster/internal/predtree"
 	"bwcluster/internal/vivaldi"
 )
 
@@ -70,48 +68,25 @@ func (d Dataset) Band() (k int, bLo, bHi float64, err error) {
 	}
 }
 
-// DefaultTrees is the default prediction-forest size. Three trees with
-// median prediction cancel most single-tree placement noise (Sequoia's
-// multi-tree heuristic) at triple the construction cost.
-const DefaultTrees = 3
-
-// FrameworkConfig controls which prediction frameworks a Framework builds.
+// FrameworkConfig controls which prediction frameworks a Framework
+// builds: the tree framework's parameters, and the Euclidean baseline.
 type FrameworkConfig struct {
-	// C is the rational-transform constant.
-	C float64
-	// Search selects the prediction-tree end-node search mode.
-	Search predtree.SearchMode
-	// Trees is the prediction-forest size (0: DefaultTrees).
-	Trees int
-	// NCut and Classes configure the decentralized overlay; the overlay is
-	// only built when Classes is non-empty.
-	NCut    int
-	Classes []float64
-	// Euclid builds the Vivaldi embedding and its k-diameter index.
+	construct.Config
+	// Euclid builds the Vivaldi embedding (default parameters) and its
+	// k-diameter index.
 	Euclid bool
-	// Vivaldi overrides the embedding parameters (zero value: defaults).
-	Vivaldi vivaldi.Config
-	// Parallelism bounds the worker pool for forest construction and
-	// index precomputation (0: one worker per CPU, 1: sequential).
-	// Parallelism never changes results.
-	Parallelism int
 }
 
 // Framework bundles everything one simulation round (one seed) needs: the
-// ground-truth bandwidth, the tree-metric prediction framework, and
-// optionally the decentralized overlay and the Euclidean baseline.
+// ground-truth bandwidth, the tree-metric prediction framework (built as
+// the library's System is) and optionally the Euclidean baseline.
 type Framework struct {
+	construct.State
 	C        float64
 	BW       *metric.Matrix // ground truth bandwidth (Mbps)
 	RealDist *metric.Matrix // rational transform of BW
-	Forest   *predtree.Forest
-	PredDist *metric.Matrix // predicted (median) distances: dist's matrix
-	TreeIdx  *cluster.Index // Algorithm 1 index over PredDist
-	Net      *overlay.Network
 	Emb      *vivaldi.Embedding
 	EuclIdx  *kdiam.Index
-
-	dist *overlay.Dist // the one snapshot Net and the async runtimes read
 }
 
 // BuildFramework constructs the frameworks for one round: hosts join the
@@ -119,52 +94,21 @@ type Framework struct {
 // between the paper's "10 different frameworks with different random
 // seeds").
 func BuildFramework(bw *metric.Matrix, cfg FrameworkConfig, rng *rand.Rand) (*Framework, error) {
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.Search == 0 {
-		cfg.Search = predtree.SearchAnchor
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
-	if cfg.Trees == 0 {
-		cfg.Trees = DefaultTrees
-	}
 	if rng == nil {
 		return nil, fmt.Errorf("sim: nil rng")
 	}
+	cfg.Config = cfg.WithDefaults()
 	realDist, err := metric.DistanceFromBandwidth(bw, cfg.C)
 	if err != nil {
 		return nil, fmt.Errorf("sim: transform bandwidth: %w", err)
 	}
-	forest, err := predtree.BuildForestParallel(realDist, cfg.C, cfg.Search, cfg.Trees, rng, cfg.Parallelism)
+	st, err := construct.Build(realDist, cfg.Config, rng)
 	if err != nil {
-		return nil, fmt.Errorf("sim: build prediction forest: %w", err)
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	dist := overlay.NewDist(forest, bw.N())
-	f := &Framework{C: cfg.C, BW: bw, RealDist: realDist, Forest: forest, PredDist: dist.Matrix(), dist: dist}
-	if f.TreeIdx, err = cluster.NewIndexParallelAt(f.PredDist, cfg.Parallelism, forest.Epoch()); err != nil {
-		return nil, fmt.Errorf("sim: tree cluster index: %w", err)
-	}
-
-	if len(cfg.Classes) > 0 {
-		net, err := overlay.NewNetworkOver(forest, dist, overlay.Config{NCut: cfg.NCut, Classes: cfg.Classes})
-		if err != nil {
-			return nil, fmt.Errorf("sim: overlay: %w", err)
-		}
-		if _, err := net.Converge(0); err != nil {
-			return nil, fmt.Errorf("sim: overlay converge: %w", err)
-		}
-		f.Net = net
-	}
-
+	f := &Framework{State: st, C: cfg.C, BW: bw, RealDist: realDist}
 	if cfg.Euclid {
-		vcfg := cfg.Vivaldi
-		if vcfg == (vivaldi.Config{}) {
-			vcfg = vivaldi.DefaultConfig()
-		}
-		emb, err := vivaldi.Embed(realDist, vcfg, rng)
+		emb, err := vivaldi.Embed(realDist, vivaldi.DefaultConfig(), rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: vivaldi embed: %w", err)
 		}

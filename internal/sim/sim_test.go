@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -53,7 +54,8 @@ func TestBuildFramework(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, err := BuildFramework(bw, FrameworkConfig{C: 100, Classes: classes, Euclid: true},
+	fw, err := BuildFramework(bw, FrameworkConfig{
+		Config: construct.Config{C: 100, Overlay: overlay.Config{Classes: classes}}, Euclid: true},
 		rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +68,10 @@ func TestBuildFramework(t *testing.T) {
 	}
 	// One snapshot: PredDist is its matrix, and the overlay (whose field
 	// is unexported in its package) reads the same snapshot.
-	if fw.PredDist != fw.dist.Matrix() {
+	if fw.PredDist != fw.Dist.Matrix() {
 		t.Error("PredDist is not the snapshot's matrix")
 	}
-	if reflect.ValueOf(fw.Net).Elem().FieldByName("dist").Pointer() != reflect.ValueOf(fw.dist).Pointer() {
+	if reflect.ValueOf(fw.Net).Elem().FieldByName("dist").Pointer() != reflect.ValueOf(fw.Dist).Pointer() {
 		t.Error("the overlay reads another snapshot")
 	}
 	if bwp := fw.PredictedBandwidth(0, 1); bwp <= 0 {
@@ -79,7 +81,7 @@ func TestBuildFramework(t *testing.T) {
 		t.Error(err)
 	}
 	// Without Euclid the baseline accessor must fail.
-	fw2, err := BuildFramework(bw, FrameworkConfig{C: 100}, rand.New(rand.NewSource(2)))
+	fw2, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: 100}}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

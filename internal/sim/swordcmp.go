@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/stats"
@@ -140,7 +141,7 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 	measurements := 0.0
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 700 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{C: cfg.C}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C}}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: sword round %d: %w", round, err)
 		}

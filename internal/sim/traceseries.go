@@ -141,7 +141,7 @@ func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int6
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.dist, s.ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
@@ -127,9 +128,7 @@ func runTradeoff(cfg TradeoffConfig, workers int) (*TradeoffResult, error) {
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 5000 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{
-			C: cfg.C, NCut: cfg.NCut, Classes: classes, Parallelism: workers,
-		}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: workers}}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: tradeoff round %d: %w", round, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/stats"
@@ -171,7 +172,7 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + 9000 + int64(di)*101 + int64(round)))
-			fw, err := BuildFramework(bw, FrameworkConfig{C: cfg.C, Parallelism: 1}, rng)
+			fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Workers: 1}}, rng)
 			if err != nil {
 				return fmt.Errorf("sim: treeness round %d: %w", round, err)
 			}

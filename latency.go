@@ -3,10 +3,10 @@ package bwcluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
-	"bwcluster/internal/cluster"
+	"bwcluster/internal/construct"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 )
 
 // LatencySystem finds latency-constrained clusters: k hosts with pairwise
@@ -15,9 +15,9 @@ import (
 // machinery applies with the identity transform (distances are
 // milliseconds directly, no rational transform).
 type LatencySystem struct {
-	derived                // pred holds the predicted latency (ms)
-	lat     *metric.Matrix // measured latency (ms)
-	classes []float64      // latency classes (ms), ascending
+	state   construct.State // PredDist holds the predicted latency (ms)
+	lat     *metric.Matrix  // measured latency (ms)
+	classes []float64       // latency classes (ms), ascending
 }
 
 // WithLatencyClasses fixes the latency classes (ms) decentralized
@@ -46,12 +46,12 @@ func NewLatency(latency [][]float64, opts ...Option) (*LatencySystem, error) {
 	}
 	o.defaultClasses(lat, 20)
 	// Latency classes are already distances: no transform.
-	cfg := overlay.Config{NCut: o.nCut, Classes: o.classes}
-	d, err := o.build(lat, cfg, cluster.Workers(o.parallelism, 0))
+	o.cfg.Overlay.Classes = o.classes
+	st, err := construct.Build(lat, o.cfg, rand.New(rand.NewSource(o.seed)))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
-	return &LatencySystem{derived: d, lat: lat, classes: o.classes}, nil
+	return &LatencySystem{state: st, lat: lat, classes: o.classes}, nil
 }
 
 // Len reports the number of hosts.
@@ -82,7 +82,7 @@ func (s *LatencySystem) PredictLatency(u, v int) (float64, error) {
 	if u == v {
 		return 0, nil
 	}
-	return s.pred.Dist(u, v), nil
+	return s.state.PredDist.Dist(u, v), nil
 }
 
 // MeasuredLatency returns the (symmetrized) input measurement.
@@ -96,27 +96,34 @@ func (s *LatencySystem) MeasuredLatency(u, v int) (float64, error) {
 	return s.lat.At(u, v), nil
 }
 
-// FindCluster returns k hosts predicted to be within maxLatency ms of
-// each other, or nil if none exist.
+// FindCluster runs Algorithm 1 over the predicted latencies: it returns
+// k hosts drawn from the clustering space of a host pair (p, q)
+// predicted within maxLatency ms, every member predicted within
+// maxLatency of both p and q, or nil if no pair's space holds k hosts.
+// All member pairs are within maxLatency only when the predictions form
+// a tree metric, which the default median of several trees only
+// approximates.
 func (s *LatencySystem) FindCluster(k int, maxLatency float64) ([]int, error) {
 	if !(maxLatency >= 0) { // negated so NaN fails too
 		return nil, fmt.Errorf("bwcluster: maxLatency must be >= 0, got %v", maxLatency)
 	}
-	members, err := s.treeIdx.Find(k, maxLatency)
+	members, err := s.state.TreeIdx.Find(k, maxLatency)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: %w", err)
 	}
 	return members, nil
 }
 
-// Query runs the decentralized protocol with a latency constraint;
-// maxLatency snaps DOWN to the nearest configured class, so returned
-// clusters always meet the requested bound (on predicted latency).
+// Query runs the decentralized protocol with a latency constraint.
+// maxLatency snaps DOWN to the nearest configured class, and every
+// member of the answer is predicted within that class of both hosts of
+// the pair anchoring it; as with FindCluster, all member pairs are
+// within it only when the predictions form a tree metric.
 func (s *LatencySystem) Query(start, k int, maxLatency float64) (QueryResult, error) {
 	if err := s.checkHost(start); err != nil {
 		return QueryResult{}, err
 	}
-	res, err := s.net.Query(start, k, maxLatency)
+	res, err := s.state.Net.Query(start, k, maxLatency)
 	if err != nil {
 		return QueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}

@@ -42,7 +42,7 @@ func (s *System) QueryTraced(start, k int, minBandwidth float64) (QueryResult, *
 		return QueryResult{}, span, fmt.Errorf("bwcluster: %w", err)
 	}
 	t0 := time.Now()
-	res, err := s.net.QueryTraced(start, k, l, span)
+	res, err := s.state.Net.QueryTraced(start, k, l, span)
 	mQuerySeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return QueryResult{}, span, fmt.Errorf("bwcluster: %w", err)

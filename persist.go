@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"bwcluster/internal/cluster"
+	"bwcluster/internal/construct"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/overlay"
 	"bwcluster/internal/predtree"
@@ -60,12 +61,12 @@ func (s *System) Save(w io.Writer) error {
 	snap := systemWire{
 		Version: wireVersion,
 		C:       s.c,
-		NCut:    s.nCut,
+		NCut:    s.ovCfg.NCut,
 		Classes: s.classes,
 		BW:      s.bw,
-		Forest:  s.forest,
+		Forest:  s.state.Forest,
 		Workers: s.parallelism,
-		Epoch:   s.forest.Epoch(),
+		Epoch:   s.state.Forest.Epoch(),
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("bwcluster: save system: %w", err)
@@ -110,12 +111,12 @@ func Load(r io.Reader) (*System, error) {
 	}
 	ovCfg := overlay.Config{NCut: snap.NCut, Classes: distClasses}
 	workers := cluster.Workers(snap.Workers, 0)
-	d, err := derive(snap.Forest, snap.BW.N(), ovCfg, workers)
+	st, err := construct.Derive(snap.Forest, snap.BW.N(), ovCfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: load system: %w", err)
 	}
 	return &System{
-		derived: d, c: snap.C, nCut: snap.NCut, workers: workers, parallelism: snap.Workers,
+		state: st, c: snap.C, workers: workers, parallelism: snap.Workers,
 		bw: snap.BW, ovCfg: ovCfg, classes: snap.Classes,
 	}, nil
 }

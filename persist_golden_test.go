@@ -88,12 +88,12 @@ func TestGoldenChurnedSystemSnapshot(t *testing.T) {
 	// measurements, the knobs and the forest — Load recomputes the rest.
 	removed := []int{2, 5, 9, 13, 17, 21, 25, 29}
 	for _, h := range removed {
-		if err := sys.forest.Remove(h); err != nil {
+		if err := sys.state.Forest.Remove(h); err != nil {
 			t.Fatalf("remove %d: %v", h, err)
 		}
 	}
 	for _, h := range []int{5, 13, 21, 29} {
-		if err := sys.forest.Add(h, dist); err != nil {
+		if err := sys.state.Forest.Add(h, dist); err != nil {
 			t.Fatalf("re-add %d: %v", h, err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestGoldenChurnedSystemSnapshot(t *testing.T) {
 
 	// FindCluster equality: answers from the reloaded system must match
 	// an index derived directly from the churned in-memory forest.
-	dm, hosts := sys.forest.DistMatrix()
+	dm, hosts := sys.state.Forest.DistMatrix()
 	pred := metric.NewMatrix(sys.bw.N())
 	for i := 0; i < sys.bw.N(); i++ {
 		for j := i + 1; j < sys.bw.N(); j++ {
@@ -143,7 +143,7 @@ func TestGoldenChurnedSystemSnapshot(t *testing.T) {
 			pred.Set(hosts[i], hosts[j], dm.Dist(i, j))
 		}
 	}
-	ix, err := cluster.NewIndexAt(pred, sys.forest.Epoch())
+	ix, err := cluster.NewIndexParallelAt(pred, 1, sys.state.Forest.Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGoldenChurnedSystemSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMembers, err := ix.FindAt(sys.forest.Epoch(), tc.k, l)
+		wantMembers, err := ix.FindAt(sys.state.Forest.Epoch(), tc.k, l)
 		if err != nil {
 			t.Fatal(err)
 		}

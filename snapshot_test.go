@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"bwcluster/internal/construct"
 )
 
 // A System holds one predicted-distance snapshot: the cluster index's
@@ -30,12 +32,12 @@ func TestSystemSharesOneSnapshot(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		d    derived
-	}{{"New", sys.derived}, {"Load", loaded.derived}, {"NewLatency", lat.derived}} {
-		if c.d.pred != c.d.dist.Matrix() {
-			t.Errorf("%s: pred is not the snapshot's matrix", c.name)
+		d    construct.State
+	}{{"New", sys.state}, {"Load", loaded.state}, {"NewLatency", lat.state}} {
+		if c.d.PredDist != c.d.Dist.Matrix() {
+			t.Errorf("%s: PredDist is not the snapshot's matrix", c.name)
 		}
-		if fieldAddr(t, c.d.net, "dist") != reflect.ValueOf(c.d.dist).Pointer() {
+		if fieldAddr(t, c.d.Net, "dist") != reflect.ValueOf(c.d.Dist).Pointer() {
 			t.Errorf("%s: the overlay reads another snapshot", c.name)
 		}
 	}
@@ -45,7 +47,7 @@ func TestSystemSharesOneSnapshot(t *testing.T) {
 	}
 	defer art.Close()
 	// atomic.Pointer holds its value in the field v.
-	if fieldAddr(t, art.rt, "table", "v") != reflect.ValueOf(sys.dist).Pointer() {
+	if fieldAddr(t, art.rt, "table", "v") != reflect.ValueOf(sys.state.Dist).Pointer() {
 		t.Error("the async runtime built its own snapshot")
 	}
 }

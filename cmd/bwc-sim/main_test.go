@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
 
 func TestRunValidation(t *testing.T) {
 	if err := run([]string{}); err == nil {
@@ -90,5 +94,32 @@ func TestRunFig6Tiny(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "6", "-scale", "0.01"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunEveryExperimentTiny runs every -fig, -ablation and -series
+// value on both datasets at a tiny scale, once at the experiment's own
+// seed and once at a -seed override. The runners fill in no defaults,
+// so this is what shows that every DefaultXConfig the table builds from
+// is complete.
+func TestRunEveryExperimentTiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	keys := make([]key, 0, len(experiments))
+	for k := range experiments {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.flag, b.flag), cmp.Compare(a.value, b.value))
+	})
+	for _, k := range keys {
+		for _, c := range []struct{ ds, seed string }{{"hp", "0"}, {"umd", "5"}} {
+			t.Run(k.flag+"="+k.value+"/"+c.ds, func(t *testing.T) {
+				if err := run([]string{"-" + k.flag, k.value, "-dataset", c.ds, "-seed", c.seed, "-scale", "0.01"}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -70,8 +70,9 @@ func TestUnknownCheckRejected(t *testing.T) {
 }
 
 // TestFixturesFailWithDiagnostics is the CLI half of the acceptance
-// gate: pointing bwc-vet at each fixture package exits non-zero with a
-// diagnostic from that fixture's check.
+// gate: pointing bwc-vet at each of the 11 fixture packages exits
+// non-zero with a diagnostic from that fixture's check, so a fixture
+// going green means a check silently died.
 func TestFixturesFailWithDiagnostics(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -79,9 +80,12 @@ func TestFixturesFailWithDiagnostics(t *testing.T) {
 		msg     string
 	}{
 		{"determinism", "determinism", "global rand"},
+		{"iodeterminism", "determinism", "map iteration order leaks"},
 		{"concurrency", "concurrency", "leaks the lock"},
 		{"telemetryhygiene", "telemetry", "composite literals"},
 		{"apihygiene", "apihygiene", "no doc comment"},
+		{"flighthygiene", "flight", "compile-time constants"},
+		{"arenahygiene", "arenahygiene", "index-addressed arenas"},
 		{"directive", "determinism", "wall clock"},
 		{"lockorder", "lockorder", "lock-acquisition cycle"},
 		{"goroleak", "goroleak", "never provably exits"},

@@ -242,17 +242,6 @@ func Generate(cfg Config, rng *rand.Rand) (*metric.Matrix, error) {
 	return t.Matrix(rng)
 }
 
-// HPPlanetLabLike generates a 190-node HP-PlanetLab-like bandwidth matrix.
-func HPPlanetLabLike(rng *rand.Rand) (*metric.Matrix, error) {
-	return Generate(HPConfig(), rng)
-}
-
-// UMDPlanetLabLike generates a 317-node UMD-PlanetLab-like bandwidth
-// matrix.
-func UMDPlanetLabLike(rng *rand.Rand) (*metric.Matrix, error) {
-	return Generate(UMDConfig(), rng)
-}
-
 // RandomSubset returns the restriction of bw to n randomly chosen hosts.
 func RandomSubset(bw *metric.Matrix, n int, rng *rand.Rand) (*metric.Matrix, error) {
 	if n > bw.N() {
@@ -264,43 +253,4 @@ func RandomSubset(bw *metric.Matrix, n int, rng *rand.Rand) (*metric.Matrix, err
 		return nil, fmt.Errorf("dataset: subset: %w", err)
 	}
 	return sub, nil
-}
-
-// Drift returns a copy of bw with every pairwise bandwidth multiplied by
-// an independent lognormal factor exp(sigma * N(0,1)), clamped to stay
-// positive — one epoch of network-condition change for dynamics
-// experiments.
-func Drift(bw *metric.Matrix, sigma float64, rng *rand.Rand) (*metric.Matrix, error) {
-	if sigma < 0 {
-		return nil, fmt.Errorf("dataset: drift sigma must be >= 0, got %v", sigma)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("dataset: nil rng")
-	}
-	out := metric.NewMatrix(bw.N())
-	for u := 0; u < bw.N(); u++ {
-		for v := u + 1; v < bw.N(); v++ {
-			val := bw.At(u, v) * math.Exp(sigma*rng.NormFloat64())
-			if val < 0.01 {
-				val = 0.01
-			}
-			out.Set(u, v, val)
-		}
-	}
-	return out, nil
-}
-
-// TreenessFamily generates len(noises) datasets of n hosts sharing the
-// base configuration but with different treeness noise, for the paper's
-// Section IV-C experiment. Returned matrices are ordered like noises.
-func TreenessFamily(base Config, n int, noises []float64, rng *rand.Rand) ([]*metric.Matrix, error) {
-	out := make([]*metric.Matrix, 0, len(noises))
-	for _, sigma := range noises {
-		m, err := Generate(base.WithN(n).WithNoise(sigma), rng)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: treeness family (sigma=%v): %w", sigma, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

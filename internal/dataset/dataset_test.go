@@ -78,12 +78,12 @@ func TestNoiselessIsTreeMetric(t *testing.T) {
 // expectation; we check a coarse ordering with generous sampling).
 func TestNoiseControlsTreeness(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	family, err := TreenessFamily(HPConfig(), 60, []float64{0, 0.2, 0.6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var eps []float64
-	for _, bw := range family {
+	for _, sigma := range []float64{0, 0.2, 0.6} {
+		bw, err := Generate(HPConfig().WithN(60).WithNoise(sigma), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d, err := metric.DistanceFromBandwidth(bw, metric.DefaultC)
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestHelpersAndSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	bw, err := HPPlanetLabLike(rng)
+	bw, err := Generate(HPConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestHelpersAndSubset(t *testing.T) {
 	if _, err := RandomSubset(sub, 41, rng); err == nil {
 		t.Error("oversized subset should fail")
 	}
-	umd, err := UMDPlanetLabLike(rng)
+	umd, err := Generate(UMDConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,50 +281,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(t.TempDir() + "/missing.csv"); err == nil {
 		t.Error("missing file should fail")
-	}
-}
-
-func TestDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	bw, err := Generate(HPConfig().WithN(15), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drifted, err := Drift(bw, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := 0
-	for i := 0; i < 15; i++ {
-		for j := i + 1; j < 15; j++ {
-			if drifted.At(i, j) <= 0 {
-				t.Fatalf("non-positive drifted bandwidth at (%d,%d)", i, j)
-			}
-			if drifted.At(i, j) != bw.At(i, j) {
-				changed++
-			}
-		}
-	}
-	if changed == 0 {
-		t.Error("drift changed nothing")
-	}
-	// Sigma 0 is the identity.
-	same, err := Drift(bw, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 15; i++ {
-		for j := i + 1; j < 15; j++ {
-			if same.At(i, j) != bw.At(i, j) {
-				t.Fatalf("sigma=0 drift changed (%d,%d)", i, j)
-			}
-		}
-	}
-	if _, err := Drift(bw, -1, rng); err == nil {
-		t.Error("negative sigma should fail")
-	}
-	if _, err := Drift(bw, 0.1, nil); err == nil {
-		t.Error("nil rng should fail")
 	}
 }
 

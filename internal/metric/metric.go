@@ -265,33 +265,3 @@ func CheckMetric(s Space, tol float64) error {
 	}
 	return nil
 }
-
-// TriangleViolationRate returns the fraction of ordered triples (i,j,k)
-// that violate the triangle inequality beyond the relative tolerance. It is
-// useful for quantifying how far an embedded bandwidth matrix is from a
-// true metric without failing hard.
-func TriangleViolationRate(s Space, tol float64) float64 {
-	n := s.N()
-	if n < 3 {
-		return 0
-	}
-	total, bad := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dij := s.Dist(i, j)
-			for k := 0; k < n; k++ {
-				if k == i || k == j {
-					continue
-				}
-				total++
-				if dij > (s.Dist(i, k)+s.Dist(k, j))*(1+tol) {
-					bad++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(bad) / float64(total)
-}

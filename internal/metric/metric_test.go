@@ -323,23 +323,6 @@ func TestCheckMetricRejectsViolations(t *testing.T) {
 	}
 }
 
-func TestTriangleViolationRate(t *testing.T) {
-	good := FromFunc(4, func(i, j int) float64 { return 1 })
-	if r := TriangleViolationRate(good, 1e-9); r != 0 {
-		t.Errorf("uniform metric violation rate = %v, want 0", r)
-	}
-	bad := NewMatrix(3)
-	bad.Set(0, 1, 1)
-	bad.Set(1, 2, 1)
-	bad.Set(0, 2, 10)
-	if r := TriangleViolationRate(bad, 1e-9); r <= 0 {
-		t.Errorf("violating metric rate = %v, want > 0", r)
-	}
-	if r := TriangleViolationRate(NewMatrix(2), 0); r != 0 {
-		t.Errorf("n<3 rate = %v, want 0", r)
-	}
-}
-
 // Property: every quartet of an exact tree metric has epsilon 0, so both
 // the sampled and exact averages are 0.
 func TestTreeMetricEpsilonZeroProperty(t *testing.T) {

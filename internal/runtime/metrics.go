@@ -5,12 +5,10 @@ import "bwcluster/internal/telemetry"
 // Telemetry for the asynchronous engine: message deliveries by kind
 // (mirroring the atomic Traffic counters into the exposition registry,
 // labeled by transport.Kind.String, which returns package constants),
-// per-query hop distributions, and the InjectLoss skip counter. Drops on
-// full inboxes are counted by the transport layer
-// (bwc_transport_dropped_total{reason="inbox_full"}); this package only
-// counts the losses it injects itself before the message ever reaches
-// the transport. Increments happen on the peer goroutines' delivery
-// path, so they must stay allocation-free.
+// and per-query hop distributions. Drops are counted by the transport
+// layer (bwc_transport_dropped_total, and bwc_transport_faults_total
+// for the faults a FaultTransport injects). Increments happen on the
+// peer goroutines' delivery path, so they must stay allocation-free.
 var (
 	mMessages = telemetry.NewCounterVec("bwc_runtime_messages_total",
 		"Messages delivered by the asynchronous peer runtime, by kind.",
@@ -18,8 +16,6 @@ var (
 	mRuntimeQueryHops = telemetry.NewHistogram("bwc_runtime_query_hops",
 		"Overlay hops traveled per asynchronous (message-forwarded) query.",
 		telemetry.HopBuckets())
-	mGossipLoss = telemetry.NewCounter("bwc_runtime_gossip_loss_injected_total",
-		"Gossip messages skipped by InjectLoss before reaching the transport; the protocol retries them next tick.")
 	mPendingReplies = telemetry.NewGauge("bwc_runtime_pending_replies",
 		"In-flight query reply-table entries (cluster + node). Bounded: callers drop their entry on timeout and the health monitor sweeps leaked entries after a TTL.")
 	mPendSwept = telemetry.NewCounter("bwc_runtime_pending_swept_total",

@@ -27,8 +27,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,8 +57,6 @@ type Runtime struct {
 	ownsTr  bool // Close the transport on Stop
 	table   atomic.Pointer[overlay.Dist]
 	version atomic.Int64 // bumped on every peer state change
-
-	lossRate atomic.Uint64 // gossip loss probability, stored as math.Float64bits
 
 	// Traffic counters (delivered messages by kind).
 	nodeInfoMsgs atomic.Int64
@@ -134,33 +130,17 @@ type pendingNode struct {
 	born   uint64 // monitor tick at submission
 }
 
-// Traffic reports how many messages of each kind have been delivered
-// (gossip counts exclude injected losses).
+// Traffic reports how many messages of each kind have been delivered.
 func (rt *Runtime) Traffic() (nodeInfo, crt, queries int64) {
 	return rt.nodeInfoMsgs.Load(), rt.crtMsgs.Load(), rt.queryMsgs.Load()
 }
 
-// InjectLoss makes every gossip message (not queries) get dropped with
-// the given probability — failure injection for testing convergence
-// under unreliable delivery. The protocol is periodic and idempotent, so
-// any rate below 1 only delays settling. Safe to call at any time. For
-// reproducible loss schedules use NewWithTransport with a
-// transport.FaultTransport instead.
-func (rt *Runtime) InjectLoss(rate float64) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("runtime: loss rate must be in [0,1), got %v", rate)
-	}
-	rt.lossRate.Store(math.Float64bits(rate))
-	return nil
-}
-
 type peer struct {
-	id      int
-	rt      *Runtime
-	recv    <-chan transport.Message
-	stop    chan struct{}
-	done    chan struct{}
-	lossRng *rand.Rand // per-peer source for loss injection
+	id   int
+	rt   *Runtime
+	recv <-chan transport.Message
+	stop chan struct{}
+	done chan struct{}
 
 	mu         lockcheck.Mutex
 	core       *overlay.Peer  // guarded by mu; the protocol state and rules
@@ -262,7 +242,6 @@ func (rt *Runtime) newPeer(id int, neighbors []int) (*peer, error) {
 		recv:       recv,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		lossRng:    rand.New(rand.NewSource(int64(id)*7919 + 1)),
 		core:       overlay.NewPeer(id, neighbors),
 		lastGossip: last,
 	}
@@ -459,12 +438,7 @@ func (p *peer) gossip() {
 		)
 	}
 	p.mu.Unlock()
-	loss := math.Float64frombits(p.rt.lossRate.Load())
 	for _, m := range outs {
-		if loss > 0 && p.lossRng.Float64() < loss {
-			mGossipLoss.Inc()
-			continue // injected loss; retried next tick
-		}
 		_ = p.rt.tr.TrySend(m)
 	}
 }

@@ -440,60 +440,6 @@ func TestAsyncNodeQueryAgreesWithSync(t *testing.T) {
 	}
 }
 
-// Failure injection: with 30% of gossip messages dropped, the protocol
-// still settles to the exact synchronous fixed point — gossip is periodic
-// and idempotent, so loss only delays convergence.
-func TestSettlesUnderMessageLoss(t *testing.T) {
-	tree, _ := buildTree(t, 15, 0.2, 9)
-	cfg := testConfig()
-	nw, err := overlay.NewNetwork(tree, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Converge(0); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(tree, cfg, testTick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.InjectLoss(0.3); err != nil {
-		t.Fatal(err)
-	}
-	rt.Start()
-	defer rt.Stop()
-	if err := rt.Settle(3*settleQuiet, settleMax); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range nw.Hosts() {
-		for _, m := range nw.Neighbors(x) {
-			if want, got := nw.AggrNode(x, m), rt.AggrNode(x, m); !slices.Equal(want, got) {
-				t.Fatalf("lossy aggrNode mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
-			}
-			if want, got := nw.CRT(x, m), rt.CRT(x, m); !slices.Equal(want, got) {
-				t.Fatalf("lossy CRT mismatch at x=%d m=%d: sync=%v async=%v", x, m, want, got)
-			}
-		}
-	}
-}
-
-func TestInjectLossValidation(t *testing.T) {
-	tree, _ := buildTree(t, 5, 0, 10)
-	rt, err := New(tree, testConfig(), testTick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.InjectLoss(-0.1); err == nil {
-		t.Error("negative rate should fail")
-	}
-	if err := rt.InjectLoss(1); err == nil {
-		t.Error("rate 1 should fail")
-	}
-	if err := rt.InjectLoss(0); err != nil {
-		t.Error(err)
-	}
-}
-
 // Stress: many concurrent queries (cluster and node searches mixed) on a
 // live network, under the race detector via `go test -race`.
 func TestConcurrentQueries(t *testing.T) {

@@ -44,12 +44,7 @@ func (r *NCutAblationResult) Blocks() Series {
 // one worker per CPU without changing any curve.
 func RunNCutAblation(base TradeoffConfig, nCuts []int) (*NCutAblationResult, error) {
 	if len(nCuts) == 0 {
-		nCuts = []int{5, 10, 20}
-	}
-	for _, nCut := range nCuts {
-		if nCut < 1 {
-			return nil, fmt.Errorf("sim: n_cut must be >= 1, got %d", nCut)
-		}
+		return nil, fmt.Errorf("sim: n_cut ablation needs at least one cutoff")
 	}
 	out := &NCutAblationResult{Dataset: base.Dataset}
 	out.Curves = make([]NCutCurve, len(nCuts))
@@ -106,12 +101,7 @@ func (r *TreesAblationResult) Blocks() Series {
 // in RunNCutAblation, the independent curves fan out across the CPUs.
 func RunTreesAblation(base AccuracyConfig, sizes []int) (*TreesAblationResult, error) {
 	if len(sizes) == 0 {
-		sizes = []int{1, 3, 5}
-	}
-	for _, trees := range sizes {
-		if trees < 1 {
-			return nil, fmt.Errorf("sim: forest size must be >= 1, got %d", trees)
-		}
+		return nil, fmt.Errorf("sim: trees ablation needs at least one forest size")
 	}
 	out := &TreesAblationResult{Dataset: base.Dataset}
 	out.Curves = make([]TreesCurve, len(sizes))

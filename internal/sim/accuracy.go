@@ -8,36 +8,28 @@ import (
 	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 	"bwcluster/internal/stats"
 )
 
 // AccuracyConfig parameterizes the Fig. 3 experiment (clustering accuracy
-// and bandwidth-prediction error, tree metric vs 2-d Euclidean).
+// and bandwidth-prediction error, tree metric vs 2-d Euclidean). The
+// queries use the dataset's paper size constraint and bandwidth band
+// (Dataset.queryGrid).
 type AccuracyConfig struct {
 	Dataset Dataset
-	// K is the cluster size constraint (0: the dataset's paper value).
-	K int
-	// BValues are the bandwidth constraints to sweep (nil: seven points
-	// across the dataset's paper band).
-	BValues []float64
 	// QueriesPerB is how many decentralized queries each round submits per
 	// bandwidth value.
 	QueriesPerB int
 	// Rounds is how many frameworks (seeds) to average over.
 	Rounds int
-	// NCut is the overlay propagation cutoff.
-	NCut int
-	// Trees overrides the prediction-forest size (0:
-	// construct.DefaultTrees).
+	// Trees is the prediction-forest size.
 	Trees int
-	// C is the rational-transform constant.
-	C float64
 	// Seed makes the whole experiment reproducible.
 	Seed int64
-	// CDFPoints caps the resolution of the error CDFs.
-	CDFPoints int
 }
+
+// accuracyCDFPoints caps the resolution of the error CDFs.
+const accuracyCDFPoints = 200
 
 // DefaultAccuracyConfig returns the paper-scale configuration: 1000
 // queries per round split across the band, 10 rounds.
@@ -46,10 +38,8 @@ func DefaultAccuracyConfig(ds Dataset) AccuracyConfig {
 		Dataset:     ds,
 		QueriesPerB: 143, // ~1000 queries over 7 band points
 		Rounds:      10,
-		NCut:        overlay.DefaultNCut,
-		C:           metric.DefaultC,
+		Trees:       construct.DefaultTrees,
 		Seed:        1,
-		CDFPoints:   200,
 	}
 }
 
@@ -125,24 +115,12 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
+	k, bValues, ov, err := cfg.Dataset.queryGrid()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.K > 0 {
-		k = cfg.K
-	}
-	if cfg.BValues == nil {
-		cfg.BValues = linspace(bLo, bHi, 7)
-	}
-	if cfg.QueriesPerB < 1 || cfg.Rounds < 1 {
-		return nil, fmt.Errorf("sim: accuracy needs QueriesPerB >= 1 and Rounds >= 1")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.CDFPoints == 0 {
-		cfg.CDFPoints = 200
+	if cfg.QueriesPerB < 1 || cfg.Rounds < 1 || cfg.Trees < 1 {
+		return nil, fmt.Errorf("sim: accuracy needs positive QueriesPerB, Rounds and Trees")
 	}
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
@@ -150,14 +128,10 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: accuracy dataset: %w", err)
 	}
-	classes, err := overlay.ClassesFromBandwidths(cfg.BValues, cfg.C)
-	if err != nil {
-		return nil, err
-	}
 
-	wprs := make(map[float64]map[Approach]*WPRAccumulator, len(cfg.BValues))
-	rrs := make(map[float64]map[Approach]*RateAccumulator, len(cfg.BValues))
-	for _, b := range cfg.BValues {
+	wprs := make(map[float64]map[Approach]*WPRAccumulator, len(bValues))
+	rrs := make(map[float64]map[Approach]*RateAccumulator, len(bValues))
+	for _, b := range bValues {
 		wprs[b] = map[Approach]*WPRAccumulator{
 			TreeCentral: {}, TreeDecentral: {}, EuclCentral: {},
 		}
@@ -170,7 +144,7 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(round)))
 		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{
-			C: cfg.C, Trees: cfg.Trees, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: workers,
+			Trees: cfg.Trees, Overlay: ov, Workers: workers,
 		}, Euclid: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: accuracy round %d: %w", round, err)
@@ -182,8 +156,8 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 		})...)
 
 		hosts := fw.Net.Hosts()
-		for _, b := range cfg.BValues {
-			l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+		for _, b := range bValues {
+			l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +195,7 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	}
 
 	res := &AccuracyResult{Dataset: cfg.Dataset, K: k, ErrCDF: make(map[Approach][]stats.CDFPoint, 2)}
-	for _, b := range cfg.BValues {
+	for _, b := range bValues {
 		pt := AccuracyPoint{B: b, WPR: map[Approach]float64{}, RR: map[Approach]float64{}}
 		for _, a := range []Approach{TreeCentral, TreeDecentral, EuclCentral} {
 			pt.WPR[a] = wprs[b][a].Value()
@@ -237,7 +211,7 @@ func runAccuracy(cfg AccuracyConfig, workers int) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: euclid error cdf: %w", err)
 	}
-	res.ErrCDF[TreeCentral] = DownsampleCDF(treeCDF, cfg.CDFPoints)
-	res.ErrCDF[EuclCentral] = DownsampleCDF(euclCDF, cfg.CDFPoints)
+	res.ErrCDF[TreeCentral] = DownsampleCDF(treeCDF, accuracyCDFPoints)
+	res.ErrCDF[EuclCentral] = DownsampleCDF(euclCDF, accuracyCDFPoints)
 	return res, nil
 }

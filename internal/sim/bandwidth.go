@@ -21,11 +21,6 @@ type BandwidthConfig struct {
 	AsyncConfig
 	// Queries is the query-phase workload size.
 	Queries int
-	// TopK bounds the ledger's tracked links (0: the ledger default).
-	TopK int
-	// Threshold is the ledger's utilization violation threshold (0: the
-	// ledger default of 1.0).
-	Threshold float64
 }
 
 // DefaultBandwidthConfig returns the workload recorded in
@@ -105,8 +100,8 @@ func (r *BandwidthResult) Blocks() Series {
 // fig-3 style query workload. The ledger joins each window against the
 // framework's predicted link bandwidth.
 func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
-	if cfg.Queries < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: bandwidth needs positive Queries and BSteps")
+	if cfg.Queries < 1 {
+		return nil, fmt.Errorf("sim: bandwidth needs positive Queries")
 	}
 	s, err := cfg.setup(cfg.Dataset, "bandwidth")
 	if err != nil {
@@ -120,7 +115,8 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	// The ledger attaches to the transport directly (not via the
 	// runtime's window driver) so windows land exactly on the phase
 	// boundaries instead of the runtime's periodic tick schedule.
-	ledger := bwledger.New(bwledger.Config{TopK: cfg.TopK, Threshold: cfg.Threshold})
+	// The ledger keeps its default top-K and violation threshold.
+	ledger := bwledger.New(bwledger.Config{})
 	n := cfg.N
 	ledger.SetPredictor(func(a, b int) (float64, bool) {
 		if a < 0 || b < 0 || a >= n || b >= n {
@@ -132,7 +128,7 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	tr.SetLedger(ledger)
 	deliveredBefore := transport.DeliveredTotal()
 
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, tr, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, asyncTick, tr, nil)
 	if err != nil {
 		tr.Close()
 		return nil, err
@@ -147,14 +143,14 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	closePhase := func(name string, fromTick, toTick uint64) {
 		// Window length on the runtime's logical clock: deterministic for
 		// a fixed tick duration, never a wall-clock read.
-		seconds := float64(toTick-fromTick) * cfg.Tick.Seconds()
+		seconds := float64(toTick-fromTick) * asyncTick.Seconds()
 		w := ledger.Roll(seconds)
 		out.Phases = append(out.Phases, BandwidthPhase{Name: name, Window: w})
 		out.Violations += len(w.Violations)
 	}
 
 	// Phase 1: gossip fan-in to the fixed point.
-	if err := rt.Settle(cfg.SettleQuiet, cfg.SettleTimeout); err != nil {
+	if err := rt.Settle(asyncSettleQuiet, asyncSettleTimeout); err != nil {
 		return nil, fmt.Errorf("sim: bandwidth settle: %w", err)
 	}
 	settleTick := rt.Ticks()
@@ -165,12 +161,12 @@ func RunBandwidth(cfg BandwidthConfig) (*BandwidthResult, error) {
 	queryRng := rand.New(rand.NewSource(cfg.Seed + 500))
 	for q := 0; q < cfg.Queries; q++ {
 		b := s.bValues[queryRng.Intn(len(s.bValues))]
-		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+		l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 		if err != nil {
 			return nil, err
 		}
 		start := hosts[queryRng.Intn(len(hosts))]
-		if _, err := rt.Query(start, s.k, l, cfg.SettleTimeout); err != nil {
+		if _, err := rt.Query(start, s.k, l, asyncSettleTimeout); err != nil {
 			return nil, fmt.Errorf("sim: bandwidth query %d: %w", q, err)
 		}
 	}

@@ -25,23 +25,22 @@ import (
 // from-scratch fixed point.
 type ChurnConfig struct {
 	Dataset Dataset
-	// N is the live membership the experiment tries to hold (0: 32).
-	// The host pool is twice that, so joiners are drawn from hosts with
-	// real ground-truth bandwidth rows; departed hosts can rejoin.
+	// N is the live membership the experiment tries to hold. The host
+	// pool is twice that, so joiners are drawn from hosts with real
+	// ground-truth bandwidth rows; departed hosts can rejoin.
 	N int
-	// Rates are the per-epoch turnover fractions to sweep: at rate r,
-	// joins and leaves each arrive Poisson(r*N/2), so (joins+leaves)/N
-	// averages r (nil: 0.1, 0.2, 0.3, 0.5 — the 10-50% band).
-	Rates []float64
-	// Epochs is the churn epoch count per rate cell.
-	Epochs int
 	// Queries is the per-epoch decentralized query count.
 	Queries int
-	NCut    int
-	BSteps  int
-	C       float64
 	Seed    int64
 }
+
+// churnRates are the per-epoch turnover fractions the sweep covers, the
+// 10-50% band: at rate r, joins and leaves each arrive Poisson(r*N/2),
+// so (joins+leaves)/N averages r.
+var churnRates = []float64{0.1, 0.2, 0.3, 0.5}
+
+// churnEpochs is the churn epoch count per rate cell.
+const churnEpochs = 6
 
 // DefaultChurnConfig returns the churn sweep recorded in
 // results/churn_series.txt.
@@ -49,12 +48,7 @@ func DefaultChurnConfig(ds Dataset) ChurnConfig {
 	return ChurnConfig{
 		Dataset: ds,
 		N:       32,
-		Rates:   []float64{0.1, 0.2, 0.3, 0.5},
-		Epochs:  6,
 		Queries: 40,
-		NCut:    overlay.DefaultNCut,
-		BSteps:  7,
-		C:       metric.DefaultC,
 		Seed:    13,
 	}
 }
@@ -154,24 +148,12 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
+	k, bValues, ovCfg, err := cfg.Dataset.queryGrid()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		cfg.N = 32
-	}
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = []float64{0.1, 0.2, 0.3, 0.5}
-	}
-	if cfg.Epochs < 1 || cfg.Queries < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: churn needs positive Epochs, Queries and BSteps")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
+	if cfg.N < 1 || cfg.Queries < 1 {
+		return nil, fmt.Errorf("sim: churn needs positive N and Queries")
 	}
 	pool := 2 * cfg.N
 
@@ -184,19 +166,13 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: churn dataset: %w", err)
 	}
-	realDist, err := metric.DistanceFromBandwidth(bw, cfg.C)
+	realDist, err := metric.DistanceFromBandwidth(bw, metric.DefaultC)
 	if err != nil {
 		return nil, fmt.Errorf("sim: churn transform: %w", err)
 	}
-	bValues := linspace(bLo, bHi, cfg.BSteps)
-	classes, err := overlay.ClassesFromBandwidths(bValues, cfg.C)
-	if err != nil {
-		return nil, err
-	}
-	ovCfg := overlay.Config{NCut: cfg.NCut, Classes: classes}
 
 	out := &ChurnResult{Dataset: cfg.Dataset, N: cfg.N, K: k}
-	for cell, rate := range cfg.Rates {
+	for cell, rate := range churnRates {
 		pt, err := runChurnCell(cfg, rate, int64(cell), bw, realDist, ovCfg, k, bValues)
 		if err != nil {
 			return nil, fmt.Errorf("sim: churn rate=%v: %w", rate, err)
@@ -206,7 +182,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	return out, nil
 }
 
-// runChurnCell lives through cfg.Epochs churn epochs at one turnover
+// runChurnCell lives through churnEpochs churn epochs at one turnover
 // rate and aggregates the cell's measurements.
 func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metric.Matrix,
 	ovCfg overlay.Config, k int, bValues []float64) (ChurnPoint, error) {
@@ -216,7 +192,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 	alive := append([]int(nil), perm[:cfg.N]...)
 	standby := append([]int(nil), perm[cfg.N:]...)
 
-	tree, err := predtree.Build(realDist, cfg.C, predtree.SearchAnchor,
+	tree, err := predtree.Build(realDist, metric.DefaultC, predtree.SearchAnchor,
 		append([]int(nil), alive...))
 	if err != nil {
 		return pt, err
@@ -232,7 +208,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 	minAlive := k + 2
 	var rr RateAccumulator
 	var wpr WPRAccumulator
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < churnEpochs; epoch++ {
 		// Tag a cluster index with the pre-epoch membership epoch; churn
 		// below must invalidate it.
 		distM, _ := tree.DistMatrix()
@@ -294,7 +270,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 			return pt, err
 		}
 		pt.RebuildMsgs += float64(fresh.Stats().Messages())
-		rebuilt, err := predtree.Build(realDist, cfg.C, predtree.SearchAnchor,
+		rebuilt, err := predtree.Build(realDist, metric.DefaultC, predtree.SearchAnchor,
 			append([]int(nil), alive...))
 		if err != nil {
 			return pt, err
@@ -305,7 +281,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 		// membership epoch.
 		if leaves+joins > 0 {
 			b := bValues[rng.Intn(len(bValues))]
-			l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+			l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 			if err != nil {
 				return pt, err
 			}
@@ -319,7 +295,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 		// Query quality on the churned framework.
 		for q := 0; q < cfg.Queries; q++ {
 			b := bValues[rng.Intn(len(bValues))]
-			l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+			l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 			if err != nil {
 				return pt, err
 			}
@@ -334,7 +310,7 @@ func runChurnCell(cfg ChurnConfig, rate float64, cell int64, bw, realDist *metri
 			}
 		}
 	}
-	ep := float64(cfg.Epochs)
+	ep := float64(churnEpochs)
 	pt.RepairRounds /= ep
 	pt.RepairMsgs /= ep
 	pt.RebuildMsgs /= ep

@@ -12,22 +12,18 @@ import (
 // ConstructionConfig parameterizes the framework-construction cost
 // experiment: how many bandwidth measurements a joining host performs
 // under the centralized (full scan) and decentralized (anchor-tree
-// search) end-node strategies.
+// search) end-node strategies, over subsets of the UMD dataset.
 type ConstructionConfig struct {
-	Base    Dataset
 	NValues []int
 	Rounds  int
-	C       float64
 	Seed    int64
 }
 
 // DefaultConstructionConfig sweeps 50..300 hosts over 5 rounds.
 func DefaultConstructionConfig() ConstructionConfig {
 	return ConstructionConfig{
-		Base:    UMD,
 		NValues: []int{50, 100, 150, 200, 250, 300},
 		Rounds:  5,
-		C:       metric.DefaultC,
 		Seed:    7,
 	}
 }
@@ -67,25 +63,15 @@ func (r *ConstructionResult) Blocks() Series {
 // RunConstructionCost builds prediction trees in both search modes over
 // subsets of the base dataset and reports the per-join measurement cost.
 func RunConstructionCost(cfg ConstructionConfig) (*ConstructionResult, error) {
-	baseCfg, err := cfg.Base.Config()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.NValues == nil {
-		cfg.NValues = DefaultConstructionConfig().NValues
-	}
-	if cfg.Rounds < 1 {
-		return nil, fmt.Errorf("sim: construction needs positive Rounds")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
+	if len(cfg.NValues) == 0 || cfg.Rounds < 1 {
+		return nil, fmt.Errorf("sim: construction needs NValues and positive Rounds")
 	}
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
-	base, err := dataset.Generate(baseCfg, dataRng)
+	base, err := dataset.Generate(dataset.UMDConfig(), dataRng)
 	if err != nil {
 		return nil, fmt.Errorf("sim: construction dataset: %w", err)
 	}
-	out := &ConstructionResult{Base: cfg.Base}
+	out := &ConstructionResult{Base: UMD}
 	out.Points = make([]ConstructionPoint, len(cfg.NValues))
 	err = forEachIndexed(len(cfg.NValues), func(ni int) error {
 		n := cfg.NValues[ni]
@@ -99,16 +85,16 @@ func RunConstructionCost(cfg ConstructionConfig) (*ConstructionResult, error) {
 			if err != nil {
 				return err
 			}
-			d, err := metric.DistanceFromBandwidth(bw, cfg.C)
+			d, err := metric.DistanceFromBandwidth(bw, metric.DefaultC)
 			if err != nil {
 				return err
 			}
 			order := rng.Perm(n)
-			full, err := predtree.Build(d, cfg.C, predtree.SearchFull, order)
+			full, err := predtree.Build(d, metric.DefaultC, predtree.SearchFull, order)
 			if err != nil {
 				return err
 			}
-			anchor, err := predtree.Build(d, cfg.C, predtree.SearchAnchor, order)
+			anchor, err := predtree.Build(d, metric.DefaultC, predtree.SearchAnchor, order)
 			if err != nil {
 				return err
 			}

@@ -7,7 +7,6 @@ import (
 	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 )
 
 // DynamicsConfig parameterizes the dynamic-clustering experiment. The
@@ -15,41 +14,34 @@ import (
 // conditions change; the underlying framework restructures itself, so the
 // interesting measurement is how much accuracy a *stale* framework loses
 // as bandwidth drifts, compared to one rebuilt from fresh measurements.
-// Epochs run sequentially: each drifts the previous state.
+// Epochs run sequentially: each drifts the previous state. The queries
+// use the dataset's paper size constraint and band (Dataset.queryGrid).
 type DynamicsConfig struct {
 	Dataset Dataset
-	// N restricts the experiment to a subset (0: 120 hosts).
+	// N restricts the experiment to a subset.
 	N int
-	// K is the query size constraint (0: the dataset's paper value).
-	K int
-	// Epochs is how many drift steps to simulate.
-	Epochs int
-	// DriftSigma is the per-epoch lognormal drift of every pair.
-	DriftSigma float64
 	// QueriesPerEpoch is the decentralized query count per epoch (split
 	// across the frameworks).
 	QueriesPerEpoch int
-	// Frameworks is how many frameworks each side averages over (framework
-	// construction is itself randomized, so a single build is noisy).
-	Frameworks int
-	NCut       int
-	BSteps     int
-	C          float64
-	Seed       int64
+	Seed            int64
 }
+
+// The recorded drift scenario.
+const (
+	dynamicsEpochs     = 8   // drift steps to simulate
+	dynamicsDriftSigma = 0.2 // per-epoch lognormal drift of every link
+	// dynamicsFrameworks is how many frameworks each side averages over
+	// (framework construction is itself randomized, so a single build is
+	// noisy).
+	dynamicsFrameworks = 3
+)
 
 // DefaultDynamicsConfig returns a moderate drift scenario.
 func DefaultDynamicsConfig(ds Dataset) DynamicsConfig {
 	return DynamicsConfig{
 		Dataset:         ds,
 		N:               120,
-		Epochs:          8,
-		DriftSigma:      0.2,
 		QueriesPerEpoch: 60,
-		Frameworks:      3,
-		NCut:            overlay.DefaultNCut,
-		BSteps:          7,
-		C:               metric.DefaultC,
 		Seed:            6,
 	}
 }
@@ -104,27 +96,12 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, bLo, bHi, err := cfg.Dataset.Band()
+	k, bValues, ov, err := cfg.Dataset.queryGrid()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.K > 0 {
-		k = cfg.K
-	}
-	if cfg.N <= 0 {
-		cfg.N = 120
-	}
-	if cfg.Epochs < 1 || cfg.QueriesPerEpoch < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: dynamics needs positive Epochs, QueriesPerEpoch and BSteps")
-	}
-	if cfg.Frameworks < 1 {
-		cfg.Frameworks = 3
-	}
-	if cfg.DriftSigma < 0 {
-		return nil, fmt.Errorf("sim: drift sigma must be >= 0")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
+	if cfg.N < 1 || cfg.QueriesPerEpoch < 1 {
+		return nil, fmt.Errorf("sim: dynamics needs positive N and QueriesPerEpoch")
 	}
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
@@ -136,16 +113,11 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: dynamics dataset: %w", err)
 	}
-	bValues := linspace(bLo, bHi, cfg.BSteps)
-	classes, err := overlay.ClassesFromBandwidths(bValues, cfg.C)
-	if err != nil {
-		return nil, err
-	}
-	fwCfg := FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}}}
+	fwCfg := FrameworkConfig{Config: construct.Config{Overlay: ov}}
 
 	// The stale frameworks share the epoch-0 refresh seeds, so both sides
 	// start identical and the curves separate only through drift.
-	stale := make([]*Framework, cfg.Frameworks)
+	stale := make([]*Framework, dynamicsFrameworks)
 	for f := range stale {
 		rng := rand.New(rand.NewSource(cfg.Seed + 200 + int64(f)*1000))
 		if stale[f], err = BuildFramework(bw, fwCfg, rng); err != nil {
@@ -153,12 +125,12 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 		}
 	}
 
-	out := &DynamicsResult{Dataset: cfg.Dataset, DriftSigma: cfg.DriftSigma, K: k}
+	out := &DynamicsResult{Dataset: cfg.Dataset, DriftSigma: dynamicsDriftSigma, K: k}
 	current := bw
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < dynamicsEpochs; epoch++ {
 		if epoch > 0 {
 			// Link capacities drift; the topology (and treeness) stays.
-			if err := topo.Evolve(cfg.DriftSigma, dataRng); err != nil {
+			if err := topo.Evolve(dynamicsDriftSigma, dataRng); err != nil {
 				return nil, err
 			}
 			current, err = topo.Matrix(dataRng)
@@ -166,7 +138,7 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 				return nil, err
 			}
 		}
-		fresh := make([]*Framework, cfg.Frameworks)
+		fresh := make([]*Framework, dynamicsFrameworks)
 		for f := range fresh {
 			rng := rand.New(rand.NewSource(cfg.Seed + 200 + int64(f)*1000 + int64(epoch)))
 			if fresh[f], err = BuildFramework(current, fwCfg, rng); err != nil {
@@ -179,12 +151,12 @@ func RunDynamics(cfg DynamicsConfig) (*DynamicsResult, error) {
 		var rrStale, rrFresh RateAccumulator
 		for q := 0; q < cfg.QueriesPerEpoch; q++ {
 			b := bValues[queryRng.Intn(len(bValues))]
-			l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+			l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 			if err != nil {
 				return nil, err
 			}
 			start := queryRng.Intn(cfg.N)
-			fw := q % cfg.Frameworks
+			fw := q % dynamicsFrameworks
 			sres, err := stale[fw].Net.Query(start, k, l)
 			if err != nil {
 				return nil, err

@@ -22,24 +22,21 @@ import (
 type FaultsConfig struct {
 	Dataset Dataset
 	AsyncConfig
-	// Losses are the gossip drop rates to sweep (nil: 0, 0.1, 0.3).
-	Losses []float64
-	// PartitionSends are the partition window lengths to sweep, measured
-	// in transport sends; 0 means no partition (nil: 0 and 1500).
-	PartitionSends []int
 	// Queries is the per-cell settled query count.
 	Queries int
 }
+
+// faultPartitionSends are the partition window lengths the fault grid
+// sweeps, measured in transport sends; 0 means no partition.
+var faultPartitionSends = []int{0, 1500}
 
 // DefaultFaultsConfig returns the fault grid recorded in
 // results/fault_series.txt.
 func DefaultFaultsConfig(ds Dataset) FaultsConfig {
 	return FaultsConfig{
-		Dataset:        ds,
-		AsyncConfig:    defaultAsync(11),
-		Losses:         []float64{0, 0.1, 0.3},
-		PartitionSends: []int{0, 1500},
-		Queries:        30,
+		Dataset:     ds,
+		AsyncConfig: defaultAsync(11),
+		Queries:     30,
 	}
 }
 
@@ -99,14 +96,8 @@ func (r *FaultsResult) Blocks() Series {
 // the paper's claim is that the periodic, idempotent gossip tolerates an
 // unreliable network, not that one-shot query forwards do.
 func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
-	if len(cfg.Losses) == 0 {
-		cfg.Losses = []float64{0, 0.1, 0.3}
-	}
-	if cfg.PartitionSends == nil {
-		cfg.PartitionSends = []int{0, 1500}
-	}
-	if cfg.Queries < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: faults needs positive Queries and BSteps")
+	if cfg.Queries < 1 {
+		return nil, fmt.Errorf("sim: faults needs positive Queries")
 	}
 	s, err := cfg.setup(cfg.Dataset, "faults")
 	if err != nil {
@@ -114,8 +105,8 @@ func RunFaults(cfg FaultsConfig) (*FaultsResult, error) {
 	}
 	out := &FaultsResult{Dataset: cfg.Dataset, N: cfg.N, K: s.k}
 	cell := 0
-	for _, loss := range cfg.Losses {
-		for _, ps := range cfg.PartitionSends {
+	for _, loss := range asyncLosses {
+		for _, ps := range faultPartitionSends {
 			cell++
 			pt, err := runFaultCell(cfg, s, loss, ps, int64(cell))
 			if err != nil {
@@ -153,7 +144,7 @@ func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, asyncTick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err
@@ -164,7 +155,7 @@ func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int
 		ft.Close()
 	}()
 	start := time.Now() //bwcvet:allow determinism wall-clock stopwatch; settle time is the measured output, never algorithm input
-	if err := rt.Settle(cfg.SettleQuiet, cfg.SettleTimeout); err != nil {
+	if err := rt.Settle(asyncSettleQuiet, asyncSettleTimeout); err != nil {
 		return pt, err
 	}
 	pt.SettleMs = float64(time.Since(start)) / float64(time.Millisecond) //bwcvet:allow determinism wall-clock stopwatch; settle time is the measured output, never algorithm input
@@ -175,7 +166,7 @@ func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int
 	agree := 0
 	for q := 0; q < cfg.Queries; q++ {
 		b := s.bValues[queryRng.Intn(len(s.bValues))]
-		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+		l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 		if err != nil {
 			return pt, err
 		}
@@ -184,7 +175,7 @@ func runFaultCell(cfg FaultsConfig, s asyncSetup, loss float64, ps int, cell int
 		if err != nil {
 			return pt, err
 		}
-		got, err := rt.Query(start, s.k, l, cfg.SettleTimeout)
+		got, err := rt.Query(start, s.k, l, asyncSettleTimeout)
 		if err != nil {
 			return pt, err
 		}

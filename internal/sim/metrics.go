@@ -43,9 +43,6 @@ func (a *WPRAccumulator) Value() float64 {
 	return float64(a.wrong) / float64(a.total)
 }
 
-// Pairs reports how many pairs were accumulated.
-func (a *WPRAccumulator) Pairs() int { return a.total }
-
 // RateAccumulator tracks a success ratio (used for RR, the return rate).
 type RateAccumulator struct {
 	hits, total int

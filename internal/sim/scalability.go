@@ -7,16 +7,15 @@ import (
 	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
-	"bwcluster/internal/overlay"
 	"bwcluster/internal/stats"
 )
 
 // ScalabilityConfig parameterizes the Fig. 6 experiment: how the number of
-// query routing hops grows with system size.
+// query routing hops grows with system size. The systems are random
+// subsets of the UMD dataset, as in the paper, and b is drawn from its
+// band (Dataset.queryGrid).
 type ScalabilityConfig struct {
-	// Base selects the generator family (paper: UMD subsets).
-	Base Dataset
-	// NValues is the sweep of system sizes (nil: 50..300 step 50).
+	// NValues is the sweep of system sizes.
 	NValues []int
 	// DatasetsPerN is how many random subsets per size (paper: 10).
 	DatasetsPerN int
@@ -24,24 +23,16 @@ type ScalabilityConfig struct {
 	QueriesPerFramework int
 	// Rounds is the number of frameworks per dataset (paper: 10).
 	Rounds int
-	// BSteps is how many bandwidth classes span the band.
-	BSteps int
-	NCut   int
-	C      float64
 	Seed   int64
 }
 
 // DefaultScalabilityConfig returns the paper-scale Fig. 6 configuration.
 func DefaultScalabilityConfig() ScalabilityConfig {
 	return ScalabilityConfig{
-		Base:                UMD,
 		NValues:             []int{50, 100, 150, 200, 250, 300},
 		DatasetsPerN:        10,
 		QueriesPerFramework: 100, // 1000 queries per dataset over 10 frameworks
 		Rounds:              10,
-		BSteps:              7,
-		NCut:                overlay.DefaultNCut,
-		C:                   metric.DefaultC,
 		Seed:                4,
 	}
 }
@@ -95,36 +86,20 @@ func (r *ScalabilityResult) Blocks() Series {
 // random queries (k = 5%..30% of n, b across the band) are traced for
 // routing hops.
 func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
-	baseCfg, err := cfg.Base.Config()
+	if len(cfg.NValues) == 0 || cfg.DatasetsPerN < 1 || cfg.QueriesPerFramework < 1 || cfg.Rounds < 1 {
+		return nil, fmt.Errorf("sim: scalability needs NValues and positive DatasetsPerN, QueriesPerFramework and Rounds")
+	}
+	_, bValues, ov, err := UMD.queryGrid()
 	if err != nil {
 		return nil, err
 	}
-	_, bLo, bHi, err := cfg.Base.Band()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.NValues == nil {
-		cfg.NValues = DefaultScalabilityConfig().NValues
-	}
-	if cfg.DatasetsPerN < 1 || cfg.QueriesPerFramework < 1 || cfg.Rounds < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: scalability needs positive DatasetsPerN, QueriesPerFramework, Rounds and BSteps")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
-	base, err := dataset.Generate(baseCfg, dataRng)
+	base, err := dataset.Generate(dataset.UMDConfig(), dataRng)
 	if err != nil {
 		return nil, fmt.Errorf("sim: scalability base dataset: %w", err)
 	}
-	bValues := linspace(bLo, bHi, cfg.BSteps)
-	classes, err := overlay.ClassesFromBandwidths(bValues, cfg.C)
-	if err != nil {
-		return nil, err
-	}
 
-	out := &ScalabilityResult{Base: cfg.Base}
+	out := &ScalabilityResult{Base: UMD}
 	out.Points = make([]ScalePoint, len(cfg.NValues))
 	// Every size derives its randomness from Seed and its own
 	// parameters, so fanning the sizes out never changes results.
@@ -146,7 +121,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 			}
 			for round := 0; round < cfg.Rounds; round++ {
 				rng := rand.New(rand.NewSource(cfg.Seed + 80000 + int64(n)*257 + int64(ds)*17 + int64(round)))
-				fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: 1}}, rng)
+				fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{Overlay: ov, Workers: 1}}, rng)
 				if err != nil {
 					return fmt.Errorf("sim: scalability n=%d: %w", n, err)
 				}
@@ -167,7 +142,7 @@ func RunScalability(cfg ScalabilityConfig) (*ScalabilityResult, error) {
 					}
 					k := kLo + rng.Intn(kHi-kLo)
 					b := bValues[rng.Intn(len(bValues))]
-					l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+					l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 					if err != nil {
 						return err
 					}

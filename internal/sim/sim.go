@@ -14,6 +14,7 @@ import (
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/kdiam"
 	"bwcluster/internal/metric"
+	"bwcluster/internal/overlay"
 	"bwcluster/internal/vivaldi"
 )
 
@@ -66,6 +67,27 @@ func (d Dataset) Band() (k int, bLo, bHi float64, err error) {
 	default:
 		return 0, 0, 0, fmt.Errorf("sim: unknown dataset %q", d)
 	}
+}
+
+// bSteps is how many bandwidth constraints span a dataset's query band
+// in every experiment.
+const bSteps = 7
+
+// queryGrid returns what the experiments query a dataset with: its
+// paper size constraint k, bSteps bandwidth constraints spanning its
+// band, and the overlay with one class per constraint at the paper's
+// n_cut.
+func (d Dataset) queryGrid() (k int, bValues []float64, ov overlay.Config, err error) {
+	k, bLo, bHi, err := d.Band()
+	if err != nil {
+		return 0, nil, ov, err
+	}
+	bValues = linspace(bLo, bHi, bSteps)
+	classes, err := overlay.ClassesFromBandwidths(bValues, metric.DefaultC)
+	if err != nil {
+		return 0, nil, ov, err
+	}
+	return k, bValues, overlay.Config{NCut: overlay.DefaultNCut, Classes: classes}, nil
 }
 
 // FrameworkConfig controls which prediction frameworks a Framework

@@ -111,8 +111,8 @@ func TestWrongPairsAndAccumulators(t *testing.T) {
 	}
 	acc.Add(bw, []int{0, 1, 2}, 20)
 	acc.Add(bw, []int{0, 1}, 20)
-	if acc.Pairs() != 4 || acc.Value() != 0.25 {
-		t.Errorf("acc = %v over %d", acc.Value(), acc.Pairs())
+	if acc.total != 4 || acc.Value() != 0.25 {
+		t.Errorf("acc = %v over %d", acc.Value(), acc.total)
 	}
 	var rate RateAccumulator
 	if rate.Value() != 0 {
@@ -406,8 +406,10 @@ func TestScalabilityValidation(t *testing.T) {
 	if _, err := RunScalability(cfg); err == nil {
 		t.Error("oversized subset should fail")
 	}
-	if _, err := RunScalability(ScalabilityConfig{Base: "bogus", DatasetsPerN: 1, QueriesPerFramework: 1, Rounds: 1, BSteps: 1}); err == nil {
-		t.Error("bogus dataset should fail")
+	cfg = DefaultScalabilityConfig()
+	cfg.NValues = nil
+	if _, err := RunScalability(cfg); err == nil {
+		t.Error("no system sizes should fail")
 	}
 }
 
@@ -464,7 +466,7 @@ func TestDynamicsRefreshBeatsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != cfg.Epochs {
+	if len(res.Points) != dynamicsEpochs {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	first := res.Points[0]
@@ -483,16 +485,11 @@ func TestDynamicsRefreshBeatsStale(t *testing.T) {
 
 func TestDynamicsValidation(t *testing.T) {
 	cfg := DefaultDynamicsConfig(HP)
-	cfg.Epochs = 0
+	cfg.QueriesPerEpoch = 0
 	if _, err := RunDynamics(cfg); err == nil {
-		t.Error("epochs=0 should fail")
+		t.Error("QueriesPerEpoch=0 should fail")
 	}
-	cfg = DefaultDynamicsConfig(HP)
-	cfg.DriftSigma = -1
-	if _, err := RunDynamics(cfg); err == nil {
-		t.Error("negative drift should fail")
-	}
-	if _, err := RunDynamics(DynamicsConfig{Dataset: "bogus", Epochs: 1, QueriesPerEpoch: 1, BSteps: 1}); err == nil {
+	if _, err := RunDynamics(DynamicsConfig{Dataset: "bogus", N: 1, QueriesPerEpoch: 1}); err == nil {
 		t.Error("bogus dataset should fail")
 	}
 }
@@ -561,9 +558,9 @@ func TestSwordComparisonShape(t *testing.T) {
 		t.Errorf("framework measured %v distinct pairs, SWORD needs %d",
 			res.TreeMeasurements, res.SwordMeasurements)
 	}
-	cfg.Budget = 0
+	cfg.Rounds = 0
 	if _, err := RunSwordComparison(cfg); err == nil {
-		t.Error("budget=0 should fail")
+		t.Error("rounds=0 should fail")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"bwcluster/internal/construct"
 	"bwcluster/internal/dataset"
 	"bwcluster/internal/metric"
 	"bwcluster/internal/stats"
@@ -12,31 +11,27 @@ import (
 )
 
 // SwordConfig parameterizes the comparison against the SWORD-like
-// exhaustive baseline from the paper's related work.
+// exhaustive baseline from the paper's related work, on a 150-host
+// subset. The size constraint sweeps 8 steps across 2..40% of n, and b
+// is drawn from the dataset's band (Dataset.queryGrid).
 type SwordConfig struct {
 	Dataset Dataset
-	// KValues sweeps the size constraint (nil: 8 steps across 2..40% of n).
-	KValues []int
-	// Budget bounds each SWORD search's node expansions.
-	Budget int
 	// QueriesPerK is how many queries per (round, k).
 	QueriesPerK int
 	// Rounds is the number of frameworks / search seeds.
 	Rounds int
-	BSteps int
-	C      float64
 	Seed   int64
 }
 
-// DefaultSwordConfig compares on a 150-host HP-like subset.
+// swordBudget bounds each SWORD search's node expansions.
+const swordBudget = 2000
+
+// DefaultSwordConfig compares on a 150-host subset of the dataset.
 func DefaultSwordConfig(ds Dataset) SwordConfig {
 	return SwordConfig{
 		Dataset:     ds,
-		Budget:      2000,
 		QueriesPerK: 10,
 		Rounds:      5,
-		BSteps:      7,
-		C:           metric.DefaultC,
 		Seed:        8,
 	}
 }
@@ -104,29 +99,23 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, bLo, bHi, err := cfg.Dataset.Band()
+	_, bValues, _, err := cfg.Dataset.queryGrid()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.QueriesPerK < 1 || cfg.Rounds < 1 {
+		return nil, fmt.Errorf("sim: sword comparison needs positive QueriesPerK and Rounds")
+	}
 	n := 150
-	if cfg.KValues == nil {
-		cfg.KValues = intRange(2, (2*n)/5, 8)
-	}
-	if cfg.Budget < 1 || cfg.QueriesPerK < 1 || cfg.Rounds < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: sword comparison needs positive Budget, QueriesPerK, Rounds and BSteps")
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
+	kValues := intRange(2, (2*n)/5, 8)
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
 	bw, err := dataset.Generate(dsCfg.WithN(n), dataRng)
 	if err != nil {
 		return nil, fmt.Errorf("sim: sword dataset: %w", err)
 	}
-	bValues := linspace(bLo, bHi, cfg.BSteps)
 
-	out := &SwordResult{Dataset: cfg.Dataset, N: n, Budget: cfg.Budget,
+	out := &SwordResult{Dataset: cfg.Dataset, N: n, Budget: swordBudget,
 		SwordMeasurements: n * (n - 1) / 2}
 	type acc struct {
 		swordRR, treeRR RateAccumulator
@@ -134,23 +123,23 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 		steps           []float64
 		treeWPR         WPRAccumulator
 	}
-	accs := make(map[int]*acc, len(cfg.KValues))
-	for _, k := range cfg.KValues {
+	accs := make(map[int]*acc, len(kValues))
+	for _, k := range kValues {
 		accs[k] = &acc{}
 	}
 	measurements := 0.0
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 700 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C}}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: sword round %d: %w", round, err)
 		}
 		measurements += float64(fw.Forest.DistinctMeasurements())
-		for _, k := range cfg.KValues {
+		for _, k := range kValues {
 			a := accs[k]
 			for q := 0; q < cfg.QueriesPerK; q++ {
 				b := bValues[rng.Intn(len(bValues))]
-				res, err := sword.FindCluster(bw, k, b, cfg.Budget, rng)
+				res, err := sword.FindCluster(bw, k, b, swordBudget, rng)
 				if err != nil {
 					return nil, err
 				}
@@ -158,7 +147,7 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 				a.exhausted.Add(res.Exhausted)
 				a.steps = append(a.steps, float64(res.Steps))
 
-				l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+				l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 				if err != nil {
 					return nil, err
 				}
@@ -174,7 +163,7 @@ func RunSwordComparison(cfg SwordConfig) (*SwordResult, error) {
 		}
 	}
 	out.TreeMeasurements = measurements / float64(cfg.Rounds)
-	for _, k := range cfg.KValues {
+	for _, k := range kValues {
 		a := accs[k]
 		meanSteps, err := stats.Mean(a.steps)
 		if err != nil {

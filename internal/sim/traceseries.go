@@ -19,8 +19,6 @@ import (
 type TraceSeriesConfig struct {
 	Dataset Dataset
 	AsyncConfig
-	// Losses are the gossip drop rates to sweep (nil: 0, 0.1, 0.3).
-	Losses []float64
 	// Queries is the per-level traced query count.
 	Queries int
 	// Flight, when non-nil, is attached to every runtime so the series
@@ -35,7 +33,6 @@ func DefaultTraceSeriesConfig(ds Dataset) TraceSeriesConfig {
 	return TraceSeriesConfig{
 		Dataset:     ds,
 		AsyncConfig: defaultAsync(11),
-		Losses:      []float64{0, 0.1, 0.3},
 		Queries:     30,
 	}
 }
@@ -106,18 +103,15 @@ func (r *TraceSeriesResult) Blocks() Series {
 // runtime over a seeded GossipOnly FaultTransport, settles it, and runs
 // traced queries, measuring answer agreement and trace completeness.
 func RunTraceSeries(cfg TraceSeriesConfig) (*TraceSeriesResult, error) {
-	if len(cfg.Losses) == 0 {
-		cfg.Losses = []float64{0, 0.1, 0.3}
-	}
-	if cfg.Queries < 1 || cfg.BSteps < 1 {
-		return nil, fmt.Errorf("sim: trace series needs positive Queries and BSteps")
+	if cfg.Queries < 1 {
+		return nil, fmt.Errorf("sim: trace series needs positive Queries")
 	}
 	s, err := cfg.setup(cfg.Dataset, "trace series")
 	if err != nil {
 		return nil, err
 	}
 	out := &TraceSeriesResult{Dataset: cfg.Dataset, N: cfg.N, K: s.k}
-	for i, loss := range cfg.Losses {
+	for i, loss := range asyncLosses {
 		pt, err := runTraceLevel(cfg, s, loss, int64(i+1))
 		if err != nil {
 			return nil, fmt.Errorf("sim: trace series loss=%v: %w", loss, err)
@@ -141,7 +135,7 @@ func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int6
 	if err != nil {
 		return pt, err
 	}
-	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, cfg.Tick, ft, nil)
+	rt, err := runtime.NewWithTransport(s.fw.Forest, s.fw.Dist, s.ovCfg, asyncTick, ft, nil)
 	if err != nil {
 		ft.Close()
 		return pt, err
@@ -152,7 +146,7 @@ func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int6
 		rt.Stop()
 		ft.Close()
 	}()
-	if err := rt.Settle(cfg.SettleQuiet, cfg.SettleTimeout); err != nil {
+	if err := rt.Settle(asyncSettleQuiet, asyncSettleTimeout); err != nil {
 		return pt, err
 	}
 	pt.Converged = runtimeAtFixedPoint(nw, rt)
@@ -161,7 +155,7 @@ func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int6
 	agree, hops, events := 0, 0, 0
 	for q := 0; q < cfg.Queries; q++ {
 		b := s.bValues[queryRng.Intn(len(s.bValues))]
-		l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+		l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 		if err != nil {
 			return pt, err
 		}
@@ -171,7 +165,7 @@ func runTraceLevel(cfg TraceSeriesConfig, s asyncSetup, loss float64, level int6
 			return pt, err
 		}
 		span := telemetry.StartSpan("query")
-		got, err := rt.QueryTraced(start, s.k, l, cfg.SettleTimeout, span)
+		got, err := rt.QueryTraced(start, s.k, l, asyncSettleTimeout, span)
 		span.Finish()
 		if err != nil {
 			return pt, err

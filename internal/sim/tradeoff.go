@@ -11,33 +11,28 @@ import (
 )
 
 // TradeoffConfig parameterizes the Fig. 4 experiment (return rate vs
-// cluster size constraint, centralized vs decentralized).
+// cluster size constraint, centralized vs decentralized). The size
+// constraints sweep the paper's range (2..90 for HP, 2..150 for UMD, in
+// 12 steps) and b is drawn from the dataset's band (Dataset.queryGrid).
 type TradeoffConfig struct {
 	Dataset Dataset
-	// KValues is the sweep of size constraints (nil: the paper's range —
-	// 2..90 for HP, 2..150 for UMD, in 12 steps).
-	KValues []int
-	// BSteps is how many bandwidth classes span the dataset band.
-	BSteps int
 	// QueriesPerK is how many queries each round submits per k (with b
 	// drawn randomly from the classes).
 	QueriesPerK int
 	// Rounds is the number of frameworks (the paper uses 100).
 	Rounds int
-	NCut   int
-	C      float64
-	Seed   int64
+	// NCut is the overlay propagation cutoff.
+	NCut int
+	Seed int64
 }
 
 // DefaultTradeoffConfig returns the paper-scale Fig. 4 configuration.
 func DefaultTradeoffConfig(ds Dataset) TradeoffConfig {
 	return TradeoffConfig{
 		Dataset:     ds,
-		BSteps:      7,
 		QueriesPerK: 8, // ~100 queries per round over the k sweep
 		Rounds:      100,
 		NCut:        overlay.DefaultNCut,
-		C:           metric.DefaultC,
 		Seed:        2,
 	}
 }
@@ -90,53 +85,41 @@ func runTradeoff(cfg TradeoffConfig, workers int) (*TradeoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, bLo, bHi, err := cfg.Dataset.Band()
+	_, bValues, ov, err := cfg.Dataset.queryGrid()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.KValues == nil {
-		kMax := 90
-		if cfg.Dataset == UMD {
-			kMax = 150
-		}
-		cfg.KValues = intRange(2, kMax, 12)
+	if cfg.QueriesPerK < 1 || cfg.Rounds < 1 || cfg.NCut < 1 {
+		return nil, fmt.Errorf("sim: tradeoff needs positive QueriesPerK, Rounds and NCut")
 	}
-	if cfg.BSteps < 1 || cfg.QueriesPerK < 1 || cfg.Rounds < 1 {
-		return nil, fmt.Errorf("sim: tradeoff needs positive BSteps, QueriesPerK and Rounds")
+	ov.NCut = cfg.NCut
+	kMax := 90
+	if cfg.Dataset == UMD {
+		kMax = 150
 	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
-	if cfg.NCut == 0 {
-		cfg.NCut = overlay.DefaultNCut
-	}
+	kValues := intRange(2, kMax, 12)
 
 	dataRng := rand.New(rand.NewSource(cfg.Seed))
 	bw, err := dataset.Generate(dsCfg, dataRng)
 	if err != nil {
 		return nil, fmt.Errorf("sim: tradeoff dataset: %w", err)
 	}
-	bValues := linspace(bLo, bHi, cfg.BSteps)
-	classes, err := overlay.ClassesFromBandwidths(bValues, cfg.C)
-	if err != nil {
-		return nil, err
-	}
 
-	rrs := make(map[int]map[Approach]*RateAccumulator, len(cfg.KValues))
-	for _, k := range cfg.KValues {
+	rrs := make(map[int]map[Approach]*RateAccumulator, len(kValues))
+	for _, k := range kValues {
 		rrs[k] = map[Approach]*RateAccumulator{TreeCentral: {}, TreeDecentral: {}}
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + 5000 + int64(round)))
-		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Overlay: overlay.Config{NCut: cfg.NCut, Classes: classes}, Workers: workers}}, rng)
+		fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{Overlay: ov, Workers: workers}}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sim: tradeoff round %d: %w", round, err)
 		}
 		hosts := fw.Net.Hosts()
-		for _, k := range cfg.KValues {
+		for _, k := range kValues {
 			for q := 0; q < cfg.QueriesPerK; q++ {
 				b := bValues[rng.Intn(len(bValues))]
-				l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+				l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 				if err != nil {
 					return nil, err
 				}
@@ -156,7 +139,7 @@ func runTradeoff(cfg TradeoffConfig, workers int) (*TradeoffResult, error) {
 	}
 
 	out := &TradeoffResult{Dataset: cfg.Dataset, NCut: cfg.NCut}
-	for _, k := range cfg.KValues {
+	for _, k := range kValues {
 		out.Points = append(out.Points, TradeoffPoint{
 			K: k,
 			RR: map[Approach]float64{

@@ -20,38 +20,28 @@ type TreenessConfig struct {
 	Base Dataset
 	// N is the dataset size (paper: 100).
 	N int
-	// Noises are the treeness-noise levels producing the dataset family
-	// (nil: six levels).
+	// Noises are the treeness-noise levels producing the dataset family.
 	Noises []float64
-	// K is the size constraint (paper: 5).
-	K int
-	// BValues sweeps the bandwidth constraint (nil: 20 points in 5..300).
-	// The paper submits 2000 random-b queries; with centralized clustering
-	// the answer per (framework, b) is deterministic, so a b grid with one
-	// evaluation per cell carries the same information.
-	BValues []float64
 	// Rounds is the number of frameworks per dataset (paper: 10).
 	Rounds int
-	// Alpha is the f_a* rescaling constant (paper: 3.2).
-	Alpha float64
-	// EpsSamples is the quartet sample count for epsilon_avg estimation.
-	EpsSamples int
-	C          float64
-	Seed       int64
+	Seed   int64
 }
+
+// The paper's Fig. 5 query and normalization parameters.
+const (
+	treenessK          = 5     // the size constraint
+	treenessAlpha      = 3.2   // the f_a* rescaling constant
+	treenessEpsSamples = 20000 // quartet samples for epsilon_avg estimation
+)
 
 // DefaultTreenessConfig returns the paper-scale Fig. 5 configuration.
 func DefaultTreenessConfig(base Dataset) TreenessConfig {
 	return TreenessConfig{
-		Base:       base,
-		N:          100,
-		Noises:     []float64{0.02, 0.08, 0.15, 0.25, 0.4, 0.6},
-		K:          5,
-		Rounds:     10,
-		Alpha:      3.2,
-		EpsSamples: 20000,
-		C:          metric.DefaultC,
-		Seed:       3,
+		Base:   base,
+		N:      100,
+		Noises: []float64{0.02, 0.08, 0.15, 0.25, 0.4, 0.6},
+		Rounds: 10,
+		Seed:   3,
 	}
 }
 
@@ -115,32 +105,16 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		cfg.N = 100
+	if cfg.N < 1 || len(cfg.Noises) == 0 || cfg.Rounds < 1 {
+		return nil, fmt.Errorf("sim: treeness needs positive N and Rounds and at least one noise level")
 	}
-	if cfg.Noises == nil {
-		cfg.Noises = DefaultTreenessConfig(cfg.Base).Noises
-	}
-	if cfg.K < 2 {
-		cfg.K = 5
-	}
-	if cfg.BValues == nil {
-		cfg.BValues = linspace(5, 300, 20)
-	}
-	if cfg.Rounds < 1 {
-		return nil, fmt.Errorf("sim: treeness needs positive Rounds")
-	}
-	if cfg.Alpha <= 1 {
-		cfg.Alpha = 3.2
-	}
-	if cfg.EpsSamples <= 0 {
-		cfg.EpsSamples = 20000
-	}
-	if cfg.C <= 0 {
-		cfg.C = metric.DefaultC
-	}
+	// The bandwidth constraint sweeps 20 points in 5..300. The paper
+	// submits 2000 random-b queries; with centralized clustering the
+	// answer per (framework, b) is deterministic, so a b grid with one
+	// evaluation per cell carries the same information.
+	bValues := linspace(5, 300, 20)
 
-	out := &TreenessResult{Base: cfg.Base, K: cfg.K, Alpha: cfg.Alpha}
+	out := &TreenessResult{Base: cfg.Base, K: treenessK, Alpha: treenessAlpha}
 	out.Series = make([]TreenessSeries, len(cfg.Noises))
 	// Each series derives all of its randomness from Seed and its own
 	// index, so fanning the noise levels out never changes results.
@@ -155,33 +129,33 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 		if err != nil {
 			return fmt.Errorf("sim: treeness dataset %d: %w", di, err)
 		}
-		realDist, err := metric.DistanceFromBandwidth(bw, cfg.C)
+		realDist, err := metric.DistanceFromBandwidth(bw, metric.DefaultC)
 		if err != nil {
 			return err
 		}
-		epsAvg, err := metric.AvgEpsilon(realDist, cfg.EpsSamples, dataRng)
+		epsAvg, err := metric.AvgEpsilon(realDist, treenessEpsSamples, dataRng)
 		if err != nil {
 			return err
 		}
 		series := TreenessSeries{Noise: noise, EpsAvg: epsAvg, EpsStar: metric.EpsilonStar(epsAvg)}
 
 		vals := bw.Values()
-		wprs := make([]*WPRAccumulator, len(cfg.BValues))
+		wprs := make([]*WPRAccumulator, len(bValues))
 		for i := range wprs {
 			wprs[i] = &WPRAccumulator{}
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + 9000 + int64(di)*101 + int64(round)))
-			fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{C: cfg.C, Workers: 1}}, rng)
+			fw, err := BuildFramework(bw, FrameworkConfig{Config: construct.Config{Workers: 1}}, rng)
 			if err != nil {
 				return fmt.Errorf("sim: treeness round %d: %w", round, err)
 			}
-			for bi, b := range cfg.BValues {
-				l, err := metric.DistanceForBandwidthConstraint(b, cfg.C)
+			for bi, b := range bValues {
+				l, err := metric.DistanceForBandwidthConstraint(b, metric.DefaultC)
 				if err != nil {
 					return err
 				}
-				members, err := fw.TreeIdx.Find(cfg.K, l)
+				members, err := fw.TreeIdx.Find(treenessK, l)
 				if err != nil {
 					return err
 				}
@@ -191,7 +165,7 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 				wprs[bi].Add(bw, members, b)
 			}
 		}
-		for bi, b := range cfg.BValues {
+		for bi, b := range bValues {
 			fb, err := stats.CDFAt(vals, b)
 			if err != nil {
 				return err
@@ -200,7 +174,7 @@ func RunTreeness(cfg TreenessConfig) (*TreenessResult, error) {
 			if err != nil {
 				return err
 			}
-			faStar, err := metric.FAStar(fa, cfg.Alpha)
+			faStar, err := metric.FAStar(fa, treenessAlpha)
 			if err != nil {
 				return err
 			}

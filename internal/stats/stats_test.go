@@ -38,9 +38,6 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Mean(nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Variance(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Variance(nil) err = %v, want ErrEmpty", err)
-	}
 	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
 	}
@@ -64,24 +61,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if _, err := FractionIn(nil, 0, 1); !errors.Is(err, ErrEmpty) {
 		t.Errorf("FractionIn(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	in := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(in)
-	if err != nil {
-		t.Fatalf("Variance: %v", err)
-	}
-	if math.Abs(v-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-	sd, err := StdDev(in)
-	if err != nil {
-		t.Fatalf("StdDev: %v", err)
-	}
-	if math.Abs(sd-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", sd)
 	}
 }
 

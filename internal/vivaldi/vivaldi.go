@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"bwcluster/internal/metric"
 )
@@ -177,28 +176,4 @@ func update(coords []Point, errEst []float64, i, j int, rtt float64, cfg Config,
 			coords[i].H = 0
 		}
 	}
-}
-
-// MedianRelativeError reports the median of |d_emb - d_real| / d_real over
-// all pairs, a standard Vivaldi quality metric.
-func MedianRelativeError(e *Embedding, o metric.Space) (float64, error) {
-	if e.N() != o.N() {
-		return 0, fmt.Errorf("vivaldi: size mismatch %d vs %d", e.N(), o.N())
-	}
-	var errs []float64
-	for i := 0; i < o.N(); i++ {
-		for j := i + 1; j < o.N(); j++ {
-			real := o.Dist(i, j)
-			if real <= 0 {
-				continue
-			}
-			errs = append(errs, math.Abs(e.Dist(i, j)-real)/real)
-		}
-	}
-	if len(errs) == 0 {
-		return 0, nil
-	}
-	cp := append([]float64(nil), errs...)
-	sort.Float64s(cp)
-	return cp[len(cp)/2], nil
 }

@@ -1,8 +1,10 @@
 package vivaldi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bwcluster/internal/metric"
@@ -63,7 +65,7 @@ func TestEmbedEuclideanData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := MedianRelativeError(e, o)
+	med, err := medianRelativeError(e, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestEmbedTreeMetricHasHigherError(t *testing.T) {
 			t.Fatalf("coordinate %d is not finite: %+v", i, c)
 		}
 	}
-	medTree, err := MedianRelativeError(eTree, tree)
+	medTree, err := medianRelativeError(eTree, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestPointsCopy(t *testing.T) {
 
 func TestMedianRelativeErrorSizeMismatch(t *testing.T) {
 	e := &Embedding{coords: make([]Point, 3)}
-	if _, err := MedianRelativeError(e, metric.NewMatrix(4)); err == nil {
+	if _, err := medianRelativeError(e, metric.NewMatrix(4)); err == nil {
 		t.Error("size mismatch should fail")
 	}
 }
@@ -177,11 +179,11 @@ func TestHeightModelFitsAccessLinkData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	medPlain, err := MedianRelativeError(plain, o)
+	medPlain, err := medianRelativeError(plain, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	medHeight, err := MedianRelativeError(withHeight, o)
+	medHeight, err := medianRelativeError(withHeight, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,4 +209,28 @@ func TestUpdateIgnoresNonPositiveRTT(t *testing.T) {
 	if coords[0].X != 0 || coords[0].Y != 0 {
 		t.Error("rtt=0 sample moved the node")
 	}
+}
+
+// medianRelativeError reports the median of |d_emb - d_real| / d_real
+// over all pairs, a standard Vivaldi quality metric.
+func medianRelativeError(e *Embedding, o metric.Space) (float64, error) {
+	if e.N() != o.N() {
+		return 0, fmt.Errorf("vivaldi: size mismatch %d vs %d", e.N(), o.N())
+	}
+	var errs []float64
+	for i := 0; i < o.N(); i++ {
+		for j := i + 1; j < o.N(); j++ {
+			real := o.Dist(i, j)
+			if real <= 0 {
+				continue
+			}
+			errs = append(errs, math.Abs(e.Dist(i, j)-real)/real)
+		}
+	}
+	if len(errs) == 0 {
+		return 0, nil
+	}
+	cp := append([]float64(nil), errs...)
+	sort.Float64s(cp)
+	return cp[len(cp)/2], nil
 }

@@ -78,8 +78,9 @@ bench-smoke:
 
 # Performance gate (DESIGN.md §8g): the paired benchmarks as a
 # 10-sample, multi-GOMAXPROCS matrix, checked by bwc-benchgate on the raw
-# `go test -bench` text — parallel builds not slower than sequential
-# beyond noise at the host's hardware concurrency, tracing-off not slower
+# `go test -bench` text — the index sweep >= 2x cheaper than the row
+# scan, the parallel forest build not slower than sequential beyond noise
+# at the host's hardware concurrency, tracing-off not slower
 # than tracing-on, incremental repair >= 10x cheaper than a rebuild, the
 # cached fleet query >= 5x cheaper than the proxied one, ledger-on within
 # 3% of ledger-off. The gate fails closed on a missing pair or a failed
@@ -87,7 +88,7 @@ bench-smoke:
 # bench-matrix.txt for benchstat.
 bench-gate:
 	$(GO) test -run '^$$' -benchmem -count 10 -cpu 1,2,4,8 -benchtime 50ms -timeout 30m \
-		-bench 'IndexBuildParallel|BuildForestParallel|QueryTracing|QueryLedger|IncrementalRemoveAdd|FleetQueryCache' \
+		-bench 'IndexBuild|BuildForestParallel|QueryTracing|QueryLedger|IncrementalRemoveAdd|FleetQueryCache' \
 		./internal/cluster ./internal/predtree ./internal/runtime ./internal/fleet 2>&1 | \
 		tee bench-matrix.txt | $(GO) run ./cmd/bwc-benchgate
 

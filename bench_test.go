@@ -117,7 +117,7 @@ func BenchmarkAlgorithm1(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterIndexBuild measures the O(n^3) index precomputation.
+// BenchmarkClusterIndexBuild measures the index precomputation at n = 190.
 func BenchmarkClusterIndexBuild(b *testing.B) {
 	d := benchDistance(b, 190)
 	b.ResetTimer()
@@ -140,6 +140,23 @@ func BenchmarkNew(b *testing.B) {
 		if _, err := New(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewScaling is BenchmarkNew at n = 256, 1024 and 2048: how
+// set-up grows with the host count (n = 512 is BenchmarkNew itself).
+func BenchmarkNewScaling(b *testing.B) {
+	for _, n := range []int{256, 1024, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			raw := benchRaw(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -133,11 +133,10 @@ func WithSeed(seed int64) Option {
 }
 
 // WithParallelism bounds the worker pool the system uses for forest
-// construction and index precomputation. The default (without this
-// option) is one worker per CPU; n = 1 forces fully sequential
-// execution. Parallelism never changes results: construction splits the
-// seeded random stream before fanning out, and sharded builds write
-// disjoint rows (see DESIGN.md, "Parallel execution model").
+// construction. The default (without this option) is one worker per
+// CPU; n = 1 forces fully sequential execution. Parallelism never
+// changes results: construction splits the seeded random stream before
+// fanning out (see DESIGN.md, "Parallel execution model").
 func WithParallelism(n int) Option {
 	return func(o *options) error {
 		if n < 1 {

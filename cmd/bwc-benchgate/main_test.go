@@ -16,7 +16,8 @@ type fixtureCell struct {
 }
 
 // healthyMatrix is a run where every invariant holds with margin: the
-// parallel builds scale at 4 procs (and pay a little overhead at 1),
+// index sweep is 6x cheaper than the row scan, the parallel forest build
+// scales at 4 procs (and pays a little overhead at 1),
 // tracing-off is cheaper than on, repair is ~250x cheaper than rebuild,
 // the cache ~8x cheaper than the proxy and the ledger ~1% over off.
 func healthyMatrix() []fixtureCell {
@@ -27,8 +28,8 @@ func healthyMatrix() []fixtureCell {
 			par = []float64{400000, 420000}
 		}
 		cells = append(cells,
-			fixtureCell{"bwcluster/internal/cluster", "BenchmarkIndexBuildParallel/sequential", procs, []float64{1000000, 1020000}},
-			fixtureCell{"bwcluster/internal/cluster", "BenchmarkIndexBuildParallel/parallel", procs, par},
+			fixtureCell{"bwcluster/internal/cluster", "BenchmarkIndexBuild/sweep", procs, []float64{2800000, 2900000}},
+			fixtureCell{"bwcluster/internal/cluster", "BenchmarkIndexBuild/rowscan", procs, []float64{17000000, 17500000}},
 			fixtureCell{"bwcluster/internal/predtree", "BenchmarkBuildForestParallel/sequential", procs, []float64{1000000, 1020000}},
 			fixtureCell{"bwcluster/internal/predtree", "BenchmarkBuildForestParallel/parallel", procs, par},
 			fixtureCell{"bwcluster/internal/predtree", "BenchmarkIncrementalRemoveAdd/incremental", procs, []float64{22000, 23000}},
@@ -130,7 +131,7 @@ func TestAggregate(t *testing.T) {
 	if len(cells) != 24 {
 		t.Fatalf("got %d cells, want 24 (12 benchmarks x 2 procs levels)", len(cells))
 	}
-	c, ok := cells[cellKey{"bwcluster/internal/cluster", "BenchmarkIndexBuildParallel/sequential", 1}]
+	c, ok := cells[cellKey{"bwcluster/internal/predtree", "BenchmarkBuildForestParallel/sequential", 1}]
 	if !ok {
 		t.Fatalf("sequential cell at procs 1 missing: %v", cells)
 	}
@@ -145,7 +146,7 @@ func TestAggregate(t *testing.T) {
 		t.Errorf("min = %v, want 1000000", c.least)
 	}
 	// Same name, other package: a separate cell.
-	if _, ok := cells[cellKey{"bwcluster/internal/predtree", "BenchmarkIndexBuildParallel/sequential", 1}]; ok {
+	if _, ok := cells[cellKey{"bwcluster/internal/cluster", "BenchmarkBuildForestParallel/sequential", 1}]; ok {
 		t.Error("cells leaked across packages")
 	}
 }
@@ -170,9 +171,9 @@ func TestGateFailsWhenParallelSlowBeyondNoise(t *testing.T) {
 	cells := healthyMatrix()
 	// Parallel 2x slower than sequential, far beyond noise, and the min
 	// shifted with it (a real slowdown, not a load spike).
-	setCell(cells, "BenchmarkIndexBuildParallel/parallel", 4, 2000000, 2040000)
+	setCell(cells, "BenchmarkBuildForestParallel/parallel", 4, 2000000, 2040000)
 	out, err := runGate(cells, 4)
-	if err == nil || !strings.Contains(err.Error(), "BenchmarkIndexBuildParallel/parallel at 4 procs") {
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkBuildForestParallel/parallel at 4 procs") {
 		t.Fatalf("gate should fail on parallel regression, got err=%v\n%s", err, out)
 	}
 }
@@ -194,6 +195,17 @@ func TestGateFailsWhenRepairUnder10x(t *testing.T) {
 	_, err := runGate(cells, 4)
 	if err == nil || !strings.Contains(err.Error(), "cheaper than rebuild") {
 		t.Fatalf("gate should fail when repair margin drops below 10x, got err=%v", err)
+	}
+}
+
+// TestGateFailsWhenIndexSweepUnder2x: an index sweep only 1.5x cheaper
+// than the row scan, at any procs level, trips the sweep invariant.
+func TestGateFailsWhenIndexSweepUnder2x(t *testing.T) {
+	cells := healthyMatrix()
+	setCell(cells, "BenchmarkIndexBuild/sweep", 1, 11500000, 11500000) // rowscan is ~17.25e6: only 1.5x
+	_, err := runGate(cells, 4)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkIndexBuild/sweep at 1 procs") {
+		t.Fatalf("gate should fail when the sweep margin drops below 2x, got err=%v", err)
 	}
 }
 
@@ -225,7 +237,7 @@ func TestGateToleratesLoadSpikeOnMean(t *testing.T) {
 	// Background load landed on the parallel sub-benchmark: the mean
 	// blew past the noise bound but the min is untouched. The gate must
 	// not flake on this.
-	setCell(cells, "BenchmarkIndexBuildParallel/parallel", 4, 400000, 5600000)
+	setCell(cells, "BenchmarkBuildForestParallel/parallel", 4, 400000, 5600000)
 	// Same for the ledger's 3% budget.
 	setCell(cells, "BenchmarkQueryLedgerOn", 4, 100000, 130000)
 	if out, err := runGate(cells, 4); err != nil {
@@ -238,7 +250,7 @@ func TestGateOnOneCPUHostGatesAtProcsOne(t *testing.T) {
 	// Wreck the 4-proc column of every single-level invariant:
 	// oversubscribed columns are reported, not gated, so this must still
 	// pass on a 1-CPU host.
-	setCell(cells, "BenchmarkIndexBuildParallel/parallel", 4, 1e7, 1e7)
+	setCell(cells, "BenchmarkBuildForestParallel/parallel", 4, 1e7, 1e7)
 	setCell(cells, "BenchmarkFleetQueryCache/cached", 4, 80000, 80000)
 	setCell(cells, "BenchmarkQueryLedgerOn", 4, 200000, 200000)
 	out, err := runGate(cells, 1)

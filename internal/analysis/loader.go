@@ -55,8 +55,10 @@ func (pkg *Package) FuncDecls() []*ast.FuncDecl {
 
 // Loader discovers, parses and type-checks the module's packages using
 // nothing but the standard library: module-local imports are resolved
-// from source relative to go.mod, everything else through the toolchain's
-// source importer (which reads GOROOT/src).
+// from source relative to go.mod, everything else from the toolchain's
+// export data (the gc importer, which runs `go list -export` and reads
+// the build cache). Export data holds a package's exported objects only;
+// no check reads an unexported standard-library object.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -85,7 +87,7 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:     fset,
 		modRoot:  root,
 		modPath:  path,
-		std:      importer.ForCompiler(fset, "source", nil),
+		std:      importer.ForCompiler(fset, "gc", nil),
 		buildCtx: build.Default,
 		loaded:   make(map[string]*Package),
 		loading:  make(map[string]bool),
@@ -220,7 +222,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 // Import implements types.Importer so the checker can resolve the
 // module's own import paths from source; everything else is delegated to
-// the stdlib source importer.
+// the gc importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")

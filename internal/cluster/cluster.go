@@ -18,9 +18,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -265,8 +267,9 @@ type pair struct {
 	p, q int32
 }
 
-// sortedPairs returns every pair p < q ordered by (distance, p, q). The
-// key is unique per pair, so any correct sort gives the same order.
+// sortedPairs returns every pair p < q ordered by (distance, p, q), with
+// -0 equal to +0 and every NaN distance last. The key is unique per
+// pair, so any correct sort gives the same order.
 func sortedPairs(s metric.Space) []pair {
 	n := s.N()
 	pairs := make([]pair, 0, n*(n-1)/2)
@@ -275,24 +278,126 @@ func sortedPairs(s metric.Space) []pair {
 			pairs = append(pairs, pair{p: int32(p), q: int32(q), d: s.Dist(p, q)})
 		}
 	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		case a.p != b.p:
-			return int(a.p - b.p)
-		default:
-			return int(a.q - b.q)
-		}
-	})
+	sortByDist(pairs)
 	return pairs
 }
 
+// distKey maps d to a key whose unsigned order is d's numeric order: -0
+// and +0 share a key, and every NaN sorts after +Inf.
+func distKey(d float64) uint64 {
+	switch {
+	case d == 0:
+		return 1 << 63
+	case d != d:
+		return math.MaxUint64
+	}
+	b := math.Float64bits(d)
+	if b>>63 == 1 {
+		return ^b // negative: a larger magnitude sorts first
+	}
+	return b | 1<<63
+}
+
+// sortByDist's shape: under radixMin pairs (a per-peer index sorts a few
+// dozen) a comparison sort beats the radix passes' fixed cost; a digit
+// is radixBits wide, so six passes with 2048-entry tables cover a key.
+const (
+	radixMin  = 256
+	radixBits = 11
+)
+
+// sortByDist stably sorts pairs, given in (p, q) order, by distKey. A
+// stable sort on the key alone leaves ties in (p, q) order, so the result
+// is sortedPairs' (distance, p, q) order. Large inputs take an LSD radix
+// sort over the key's digits, skipping each digit all keys share.
+func sortByDist(pairs []pair) {
+	if len(pairs) < radixMin {
+		slices.SortStableFunc(pairs, func(a, b pair) int { return cmp.Compare(distKey(a.d), distKey(b.d)) })
+		return
+	}
+	const passes = (64 + radixBits - 1) / radixBits
+	const mask = 1<<radixBits - 1
+	counts := make([][1 << radixBits]int32, passes)
+	for _, pr := range pairs {
+		k := distKey(pr.d)
+		for b := range counts {
+			counts[b][k>>(b*radixBits)&mask]++
+		}
+	}
+	src, dst := pairs, make([]pair, len(pairs))
+	first := distKey(pairs[0].d)
+	for b := range counts {
+		c := &counts[b]
+		if int(c[first>>(b*radixBits)&mask]) == len(pairs) {
+			continue
+		}
+		at := int32(0)
+		for digit, cnt := range c {
+			c[digit] = at
+			at += cnt
+		}
+		for _, pr := range src {
+			digit := distKey(pr.d) >> (b * radixBits) & mask
+			dst[c[digit]] = pr
+			c[digit]++
+		}
+		src, dst = dst, src
+	}
+	copy(pairs, src) // a no-op when an even number of passes ran
+}
+
+// sizePairs returns |S*pq| for every pair p < q, indexed p*n+q, in one
+// sweep over pairs (sortedPairs' order). S*pq = B_p(t) ∩ B_q(t) for
+// t = d(p,q), where B_x(t) = {y : d(x,y) <= t}. The sweep keeps every
+// ball, less its centre, as one row of an n×n bitset and walks the pairs
+// one tie group at a time: it first adds each pair of the group to both
+// balls, then sizes each pair of the group as the popcount of the AND of
+// two rows — n/64 word operations where countMembers makes n
+// comparisons — plus p and q themselves, each a member when its own
+// distance d(x,x) (zero in a *metric.Matrix) is within t. NaN pairs sort
+// last and are sized 0, as countMembers sizes them.
+func sizePairs(s metric.Space, pairs []pair) []int32 {
+	n := s.N()
+	sizes := make([]int32, n*n)
+	words := (n + 63) / 64
+	balls := make([]uint64, n*words)
+	own := make([]float64, n)
+	for x := range own {
+		own[x] = s.Dist(x, x)
+	}
+	for i := 0; i < len(pairs) && pairs[i].d == pairs[i].d; {
+		t := pairs[i].d
+		j := i + 1
+		for j < len(pairs) && pairs[j].d <= t {
+			j++
+		}
+		for _, pr := range pairs[i:j] {
+			balls[int(pr.p)*words+int(pr.q>>6)] |= 1 << (pr.q & 63)
+			balls[int(pr.q)*words+int(pr.p>>6)] |= 1 << (pr.p & 63)
+		}
+		for _, pr := range pairs[i:j] {
+			bp := balls[int(pr.p)*words:][:words]
+			bq := balls[int(pr.q)*words:][:words]
+			count := 0
+			for w, a := range bp {
+				count += bits.OnesCount64(a & bq[w])
+			}
+			for _, x := range [2]int32{pr.p, pr.q} {
+				if own[x] <= t {
+					count++
+				}
+			}
+			sizes[int(pr.p)*n+int(pr.q)] = int32(count)
+		}
+		i = j
+	}
+	return sizes
+}
+
 // Index precomputes, for one metric space, every |S*pq|, so that queries
-// with arbitrary (k, l) are answered by a binary search after an O(n^3)
-// build. Index.Find returns exactly what FindCluster would.
+// with arbitrary (k, l) are answered by a binary search after one
+// sorted-pair sweep (see NewIndex). Index.Find returns exactly what
+// FindCluster would.
 //
 // An Index is safe for concurrent use: the precomputed tables are never
 // written after construction, and each per-k staircase is built once
@@ -322,43 +427,32 @@ type Index struct {
 
 func errNilSpace() error { return fmt.Errorf("cluster: nil space") }
 
-// NewIndex builds the query index for s.
+// NewIndex builds the query index for s: it sorts the n²/2 pairs by
+// distance and sizes every S*pq in one sweep over them (sizePairs), in
+// O(n³/64) word operations. s must be symmetric.
 func NewIndex(s metric.Space) (*Index, error) {
 	if s == nil {
 		return nil, errNilSpace()
 	}
 	n := s.N()
-	lexSizes := make([]int32, n*n)
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
-			lexSizes[p*n+q] = int32(countMembers(s, p, q))
-		}
+	pairs := sortedPairs(s)
+	lexSizes := sizePairs(s, pairs)
+	prefixMax := make([]int32, len(pairs))
+	running := int32(0)
+	for i, pr := range pairs {
+		running = max(running, lexSizes[int(pr.p)*n+int(pr.q)])
+		prefixMax[i] = running
 	}
-	return finishIndex(s, n, lexSizes), nil
+	return &Index{
+		space: s, n: n, lexSizes: lexSizes, pairs: pairs,
+		prefixMax: prefixMax, stairs: make([]atomic.Pointer[[]pair], n+1),
+	}, nil
 }
 
 // ErrStaleIndex is returned by FindAt when the caller's membership epoch
 // differs from the one the index was built at. Callers should rebuild the
 // index from the current forest and retry rather than serve the answer.
 var ErrStaleIndex = errors.New("cluster: index is stale")
-
-// finishIndex derives the sorted-pair tables from the precomputed
-// |S*pq| sizes and assembles the index.
-func finishIndex(s metric.Space, n int, lexSizes []int32) *Index {
-	pairs := sortedPairs(s)
-	prefixMax := make([]int32, len(pairs))
-	running := int32(0)
-	for i, pr := range pairs {
-		if sz := lexSizes[int(pr.p)*n+int(pr.q)]; sz > running {
-			running = sz
-		}
-		prefixMax[i] = running
-	}
-	return &Index{
-		space: s, n: n, lexSizes: lexSizes, pairs: pairs,
-		prefixMax: prefixMax, stairs: make([]atomic.Pointer[[]pair], n+1),
-	}
-}
 
 // N reports the number of nodes in the indexed space.
 func (ix *Index) N() int { return ix.space.N() }

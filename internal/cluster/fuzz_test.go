@@ -12,8 +12,8 @@ import (
 
 // FuzzFindClusterRepresentations builds every representation of the
 // Algorithm 1 scan from the same fuzzed metric space — the direct
-// sequential scan, the precomputed Index (built sequentially and with
-// work stealing), its per-k staircase and its per-l ladder — and
+// sequential scan, the precomputed Index (through NewIndex and through
+// NewIndexParallelAt), its per-k staircase and its per-l ladder — and
 // asserts they give identical answers. Each case queries one index at a
 // pair distance and just below it, so the second query reuses the table
 // the first built.
@@ -21,17 +21,27 @@ import (
 // lexicographic order answers, so the answers must match element for
 // element, not just set-wise.
 func FuzzFindClusterRepresentations(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(3), uint8(64))
-	f.Add(int64(42), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(-7), uint8(255), uint8(128), uint8(200))
-	// Seed 15 draws n = 69 >= minParallelN, so the corpus exercises the
-	// real work-stealing path, not just the small-n sequential fallback.
-	f.Add(int64(15), uint8(7), uint8(50), uint8(100))
-	f.Fuzz(func(t *testing.T, seed int64, kRaw, lPick, noiseRaw uint8) {
+	f.Add(int64(1), uint8(2), uint8(3), uint8(64), uint8(0))
+	f.Add(int64(42), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(-7), uint8(255), uint8(128), uint8(200), uint8(0))
+	// Seed 15 draws n = 69: its 2,346 pairs take the radix sort, the
+	// smaller spaces the comparison sort (radixMin).
+	f.Add(int64(15), uint8(7), uint8(50), uint8(100), uint8(0))
+	// A grid of 2 rounds every distance up to a multiple of 2: wide tie
+	// groups for the index sweep, and ties on the d(x,p) <= d(p,q)
+	// boundary for every scan.
+	f.Add(int64(15), uint8(7), uint8(50), uint8(100), uint8(32))
+	f.Fuzz(func(t *testing.T, seed int64, kRaw, lPick, noiseRaw, gridRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(70)
 		noise := float64(noiseRaw) / 255 * 0.5
 		m := testutil.NoisyTreeMetric(n, noise, rng)
+		if gridRaw > 0 {
+			// Round up to a multiple of grid, so ties abound and no
+			// distance becomes zero.
+			grid := float64(gridRaw) / 16
+			m = metric.FromFunc(n, func(i, j int) float64 { return math.Ceil(m.Dist(i, j)/grid) * grid })
+		}
 		k := 2 + int(kRaw)%(n-1)
 		vals := m.Values()
 		l := vals[int(lPick)%len(vals)]

@@ -247,23 +247,22 @@ func (e *mismatchError) Error() string {
 	return "concurrent query mismatch"
 }
 
-// BenchmarkIndexBuildParallel compares sequential and sharded index
-// precomputation at n=256.
-func BenchmarkIndexBuildParallel(b *testing.B) {
+// BenchmarkIndexBuild compares the index's one-sweep sizing of every
+// S*pq with the all-pairs countMembers row scan it replaced, at n = 256.
+// The bench gate holds sweep at least 2x cheaper than rowscan.
+func BenchmarkIndexBuild(b *testing.B) {
 	const n = 256
 	s := randomSpace(n, 43)
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := NewIndex(s); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("rowscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewIndexParallelAt(s, 0, 0); err != nil {
-				b.Fatal(err)
-			}
+			rowScanSizes(s)
 		}
 	})
 }

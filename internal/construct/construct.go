@@ -35,9 +35,8 @@ type Config struct {
 	// Overlay configures the decentralized overlay (NCut 0:
 	// overlay.DefaultNCut). Without classes no overlay is built.
 	Overlay overlay.Config
-	// Workers bounds the worker pool for forest construction and index
-	// precomputation (0: one worker per CPU, 1: sequential). It never
-	// changes results.
+	// Workers bounds the worker pool for forest construction (0: one
+	// worker per CPU, 1: sequential). It never changes results.
 	Workers int
 }
 
@@ -79,17 +78,17 @@ func Build(dist *metric.Matrix, cfg Config, rng *rand.Rand) (State, error) {
 	if err != nil {
 		return State{}, fmt.Errorf("build prediction forest: %w", err)
 	}
-	return Derive(forest, dist.N(), cfg.Overlay, cfg.Workers)
+	return Derive(forest, dist.N(), cfg.Overlay)
 }
 
 // Derive builds the query state over a forest whose hosts are drawn from
 // an n-host measurement matrix: one snapshot n wide, the index over it
 // and, when ov has classes, the overlay converged over it.
-func Derive(forest *predtree.Forest, n int, ov overlay.Config, workers int) (State, error) {
+func Derive(forest *predtree.Forest, n int, ov overlay.Config) (State, error) {
 	dist := overlay.NewDist(forest, n)
 	st := State{Forest: forest, Dist: dist, PredDist: dist.Matrix()}
 	var err error
-	if st.TreeIdx, err = cluster.NewIndexParallelAt(st.PredDist, workers, forest.Epoch()); err != nil {
+	if st.TreeIdx, err = cluster.NewIndexParallelAt(st.PredDist, 1, forest.Epoch()); err != nil {
 		return State{}, err
 	}
 	if len(ov.Classes) == 0 {

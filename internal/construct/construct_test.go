@@ -66,7 +66,7 @@ func TestDeriveBuildsConvergedOverlayWithClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Derive(forest, m.N(), overlay.Config{NCut: 4, Classes: []float64{0.5, 1, 2}}, 1)
+	st, err := Derive(forest, m.N(), overlay.Config{NCut: 4, Classes: []float64{0.5, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDeriveBuildsConvergedOverlayWithClasses(t *testing.T) {
 	if st.Net.Rounds() == 0 {
 		t.Error("the overlay was not converged")
 	}
-	if _, err := Derive(forest, m.N(), overlay.Config{Classes: []float64{1}}, 1); err == nil {
+	if _, err := Derive(forest, m.N(), overlay.Config{Classes: []float64{1}}); err == nil {
 		t.Error("Derive accepted an overlay config without n_cut")
 	}
 }

@@ -65,6 +65,12 @@ func (m *Matrix) Dist(i, j int) float64 { return m.data[i*m.n+j] }
 // Callers must not write to it.
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.n : (i+1)*m.n : (i+1)*m.n] }
 
+// Data returns the n*n entries in row-major order, aliasing the matrix:
+// entry (i, j) is Data()[i*N()+j]. It lets a fill write a fresh matrix in
+// place; the writer must leave it symmetric, with a zero diagonal, before
+// anyone else reads it.
+func (m *Matrix) Data() []float64 { return m.data }
+
 // At is an alias for Dist, reading better when the matrix holds bandwidth.
 func (m *Matrix) At(i, j int) float64 { return m.Dist(i, j) }
 

@@ -86,13 +86,14 @@ func ClassesFromBandwidths(bws []float64, c float64) ([]float64, error) {
 
 // Substrate is what the protocol needs from the prediction framework: the
 // member hosts, the anchor-tree adjacency (the overlay links), and the
-// predicted pairwise distances. Both predtree.Tree and predtree.Forest
-// satisfy it.
+// predicted pairwise distances, which FillDist writes between every two
+// hosts g and h at (rows[g], rows[h]) of a matrix. Both predtree.Tree and
+// predtree.Forest satisfy it.
 type Substrate interface {
 	Len() int
 	Hosts() []int
 	AnchorNeighbors(h int) []int
-	DistMatrix() (*metric.Matrix, []int)
+	FillDist(m *metric.Matrix, rows []int)
 }
 
 // Stats counts the background traffic the protocol has generated,

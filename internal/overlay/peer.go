@@ -26,7 +26,7 @@ type Dist struct {
 // NewDist snapshots sub's predicted distances in a matrix at least n
 // wide, and wide enough for every host id sub holds.
 func NewDist(sub Substrate, n int) *Dist {
-	dm, hosts := sub.DistMatrix()
+	hosts := sub.Hosts()
 	for _, h := range hosts {
 		n = max(n, h+1)
 	}
@@ -41,11 +41,11 @@ func NewDist(sub Substrate, n int) *Dist {
 			}
 		}
 	}
-	for i := range hosts {
-		for j := i + 1; j < len(hosts); j++ {
-			d.m.Set(hosts[i], hosts[j], dm.Dist(i, j))
-		}
+	rows := make([]int, n) // host h is row h
+	for h := range rows {
+		rows[h] = h
 	}
+	sub.FillDist(d.m, rows)
 	return d
 }
 

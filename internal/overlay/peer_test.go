@@ -454,7 +454,7 @@ func TestDistSparseAndDepartedHosts(t *testing.T) {
 				}
 			}
 		}
-		for _, h := range append(absent, -1, d.Matrix().N(), 1<<40) {
+		for _, h := range append(absent, -1, d.Matrix().N(), math.MaxInt) {
 			if d.Has(h) {
 				t.Errorf("width %d: Has(%d) = true", n, h)
 			}

@@ -3,8 +3,9 @@ package predtree
 import "sync"
 
 // BFS scratch arena. Every tree walk (insertion search, distance query,
-// matrix materialization) needs a queue, a predecessor table and a
-// distance table sized by the vertex count. Allocating them per call was
+// removal repair) needs a queue, a predecessor table and a distance
+// table sized by the vertex count; the distance fill keeps its own
+// top-down arrays instead (fill.go). Allocating them per call was
 // the dominant allocation source of forest construction (~876k allocs/op
 // in the Fig. 3 benchmark before the flat refactor); instead they live in
 // a pooled scratch arena that is reused across calls, across builds and
@@ -12,7 +13,7 @@ import "sync"
 // fresh walk costs O(1) setup instead of an O(V) clear.
 //
 // A scratch is owned by exactly one goroutine between get and put, so
-// concurrent Dist/DistMatrix callers each draw their own arena and the
+// concurrent Dist callers each draw their own arena and the
 // tree itself stays read-only — the property that makes a built Tree safe
 // for concurrent queries.
 type scratch struct {

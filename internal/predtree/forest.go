@@ -238,41 +238,10 @@ func (f *Forest) PredictBandwidth(u, v int) float64 {
 // DistMatrix materializes the median predicted distances for all hosts,
 // indexed like the returned host slice (the primary tree's join order).
 func (f *Forest) DistMatrix() (*metric.Matrix, []int) {
-	if len(f.trees) == 1 {
-		return f.trees[0].DistMatrix()
-	}
 	hosts := f.Hosts()
-	// rows[ti][i] is the row of hosts[i] in tree ti's matrix, which is
-	// indexed by that tree's own join order.
-	mats := make([]*metric.Matrix, len(f.trees))
-	rows := make([][]int32, len(f.trees))
-	at := make([]int32, f.trees[0].hostCap()) // host id -> row, per tree
-	for ti, t := range f.trees {
-		dm, th := t.DistMatrix()
-		for r, h := range th {
-			at[h] = int32(r)
-		}
-		rows[ti] = make([]int32, len(hosts))
-		for i, h := range hosts {
-			rows[ti][i] = at[h]
-		}
-		mats[ti] = dm
-	}
-	out := metric.NewMatrix(len(hosts))
-	ds := make([]float64, len(mats))
-	rowI := make([][]float64, len(mats)) // row of hosts[i] in each tree
-	for i := range hosts {
-		for ti, m := range mats {
-			rowI[ti] = m.Row(int(rows[ti][i]))
-		}
-		for j := i + 1; j < len(hosts); j++ {
-			for ti, r := range rowI {
-				ds[ti] = r[rows[ti][j]]
-			}
-			out.Set(i, j, median(ds))
-		}
-	}
-	return out, hosts
+	m := metric.NewMatrix(len(hosts))
+	f.FillDist(m, joinRows(f.trees[0].hostCap(), hosts))
+	return m, hosts
 }
 
 // Labels returns host h's distance label in every tree of the forest —

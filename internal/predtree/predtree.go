@@ -747,14 +747,7 @@ func (t *Tree) PredictBandwidth(u, v int) float64 {
 func (t *Tree) DistMatrix() (*metric.Matrix, []int) {
 	hosts := t.Hosts()
 	m := metric.NewMatrix(len(hosts))
-	sc := getScratch(len(t.verts))
-	defer putScratch(sc)
-	for i := range hosts {
-		t.distancesFrom(t.leafVert[hosts[i]], sc)
-		for j := i + 1; j < len(hosts); j++ {
-			m.Set(i, j, sc.dist[t.leafVert[hosts[j]]])
-		}
-	}
+	t.FillDist(m, joinRows(t.hostCap(), hosts))
 	return m, hosts
 }
 

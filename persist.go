@@ -111,7 +111,7 @@ func Load(r io.Reader) (*System, error) {
 	}
 	ovCfg := overlay.Config{NCut: snap.NCut, Classes: distClasses}
 	workers := cluster.Workers(snap.Workers, 0)
-	st, err := construct.Derive(snap.Forest, snap.BW.N(), ovCfg, workers)
+	st, err := construct.Derive(snap.Forest, snap.BW.N(), ovCfg)
 	if err != nil {
 		return nil, fmt.Errorf("bwcluster: load system: %w", err)
 	}

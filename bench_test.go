@@ -519,25 +519,6 @@ func BenchmarkAblationVivaldiHeight(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMaxClusterSize compares the direct O(n^3) max-size
-// scan against the paper's binary-search-over-FindCluster strategy.
-func BenchmarkAblationMaxClusterSize(b *testing.B) {
-	d := benchDistance(b, 120)
-	l := metric.DefaultC / 30
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cluster.MaxClusterSize(d, l)
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.MaxClusterSizeBinary(d, l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func benchName(prefix string, v int) string {
 	return fmt.Sprintf("%s-%02d", prefix, v)
 }

@@ -413,7 +413,7 @@ func (s *System) DistanceLabel(h int) (string, error) {
 // transform, exact in tree metric spaces), together with that worst-pair
 // bandwidth. Members is nil when the system has fewer than k hosts.
 func (s *System) TightestCluster(k int) (members []int, worstBandwidth float64, err error) {
-	sel, _, err := cluster.MinDiameter(s.state.PredDist, k)
+	sel, _, err := s.state.TreeIdx.MinDiameter(k)
 	if err != nil {
 		return nil, 0, fmt.Errorf("bwcluster: %w", err)
 	}

@@ -396,6 +396,23 @@ func TestTightestCluster(t *testing.T) {
 	}
 }
 
+// TightestCluster reads the System's index: a call allocates its member
+// slice and nothing else.
+func TestTightestClusterAllocatesOnlyMembers(t *testing.T) {
+	sys, err := New(sampleBandwidth(t, 35, 9), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if members, _, err := sys.TightestCluster(5); err != nil || len(members) != 5 {
+			t.Fatalf("TightestCluster(5) = %v, %v", members, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("TightestCluster allocates %v times per call, want 1 (the member slice)", allocs)
+	}
+}
+
 func TestFindNodeForSet(t *testing.T) {
 	sys, err := New(sampleBandwidth(t, 40, 8), WithSeed(5))
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -43,120 +44,101 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, f.Check)
 }
 
-// Config selects which checks run and which packages they consider
-// in-scope. The zero value runs nothing; use DefaultConfig.
+// Config selects which checks run. The zero value runs nothing; use
+// DefaultConfig. Where each check runs is fixed (inScope), not
+// configured.
 type Config struct {
 	// Enabled maps check name to whether it runs.
 	Enabled map[string]bool
-
-	// AlgorithmPackages are the import paths whose results must be
-	// bit-identical for a fixed seed; the determinism check only fires
-	// inside them.
-	AlgorithmPackages []string
-
-	// IOPackages are import paths that legitimately talk to the outside
-	// world (sockets, timers): the determinism check still bans the
-	// global math/rand stream and map-order leaks there — injected-fault
-	// schedules must derive from explicit seeds — but wall-clock reads
-	// are allowed, because deadlines and reconnect backoff are what an
-	// I/O layer is for.
-	IOPackages []string
-
-	// InstrumentedPackages are the import paths subject to the telemetry
-	// hygiene check (they start spans or register metrics).
-	InstrumentedPackages []string
-
-	// TelemetryPath is the import path of the telemetry package itself,
-	// which is exempt from the determinism and telemetry checks (it is
-	// the code that measures wall time on purpose).
-	TelemetryPath string
-
-	// APIPathSubstring scopes the api hygiene check: packages whose
-	// import path contains this substring are checked. Empty checks all.
-	APIPathSubstring string
-
-	// FlatPackages are the import paths whose hot paths use flat arena
-	// representations (DESIGN.md §8g); the arenahygiene check bans
-	// pointer-linked node webs and integer-keyed map state there.
-	FlatPackages []string
-
-	// ConcurrentPackages are the import paths whose mutexes participate
-	// in the interprocedural lock graph (DESIGN.md §8i): the lockorder
-	// check builds its acquisition ordering and blocking-while-locked
-	// analysis over exactly these.
-	ConcurrentPackages []string
-
-	// ProtocolPackages are the import paths that define or dispatch on
-	// the wire protocol's message kinds; the protostate check enforces
-	// switch exhaustiveness and wire-schema parity there.
-	ProtocolPackages []string
 }
 
-// DefaultConfig returns the repository's canonical configuration: all
-// checks on, scoped to the packages named in DESIGN.md §8d.
+// DefaultConfig returns the repository's canonical configuration: every
+// check on.
 func DefaultConfig() *Config {
-	const mod = "bwcluster"
-	algo := []string{
-		mod + "/internal/metric",
-		mod + "/internal/predtree",
-		mod + "/internal/cluster",
-		mod + "/internal/construct",
-		mod + "/internal/kdiam",
-		mod + "/internal/membership",
-		mod + "/internal/overlay",
-		mod + "/internal/runtime",
-		mod + "/internal/sim",
-		mod + "/internal/sword",
-		mod + "/internal/vivaldi",
-	}
-	io := []string{
-		mod + "/internal/transport",
-		mod + "/internal/fleet",
-		mod + "/internal/serveapi",
-		mod + "/internal/bwledger",
-	}
-	instrumented := append([]string{
-		mod,
-		mod + "/cmd/bwc-serve",
-		mod + "/internal/transport",
-		mod + "/internal/fleet",
-		mod + "/internal/serveapi",
-	}, algo...)
 	enabled := make(map[string]bool, len(Checks))
 	for _, c := range Checks {
 		enabled[c.Name] = true
 	}
-	return &Config{
-		Enabled:              enabled,
-		AlgorithmPackages:    algo,
-		IOPackages:           io,
-		InstrumentedPackages: instrumented,
-		TelemetryPath:        mod + "/internal/telemetry",
-		APIPathSubstring:     "/internal/",
-		FlatPackages: []string{
-			mod + "/internal/cluster",
-			mod + "/internal/membership",
-			mod + "/internal/predtree",
-		},
-		ConcurrentPackages: []string{
-			mod + "/internal/runtime",
-			mod + "/internal/transport",
-			mod + "/internal/membership",
-			mod + "/internal/telemetry",
-			mod + "/internal/fleet",
-			mod + "/internal/bwledger",
-		},
-		ProtocolPackages: []string{
-			mod + "/internal/runtime",
-			mod + "/internal/transport",
-		},
-	}
+	return &Config{Enabled: enabled}
+}
+
+// telemetryPath is the import path of the telemetry package, which is
+// exempt from the determinism and telemetry checks (it is the code that
+// measures wall time on purpose).
+const telemetryPath = "bwcluster/internal/telemetry"
+
+// algorithmPackages are the import paths whose results must be
+// bit-identical for a fixed seed; the determinism check fires in them.
+var algorithmPackages = []string{
+	"bwcluster/internal/metric",
+	"bwcluster/internal/predtree",
+	"bwcluster/internal/cluster",
+	"bwcluster/internal/construct",
+	"bwcluster/internal/kdiam",
+	"bwcluster/internal/membership",
+	"bwcluster/internal/overlay",
+	"bwcluster/internal/runtime",
+	"bwcluster/internal/sim",
+	"bwcluster/internal/sword",
+	"bwcluster/internal/vivaldi",
+}
+
+// ioPackages are the import paths that legitimately talk to the outside
+// world (sockets, timers): the determinism check still bans the global
+// math/rand stream and map-order leaks there — injected-fault schedules
+// must derive from explicit seeds — but wall-clock reads are allowed,
+// because deadlines and reconnect backoff are what an I/O layer is for.
+var ioPackages = []string{
+	"bwcluster/internal/transport",
+	"bwcluster/internal/fleet",
+	"bwcluster/internal/serveapi",
+	"bwcluster/internal/bwledger",
+}
+
+// instrumentedPackages start spans or register metrics; the telemetry
+// and flight checks run on them.
+var instrumentedPackages = append([]string{
+	"bwcluster",
+	"bwcluster/cmd/bwc-serve",
+	"bwcluster/internal/transport",
+	"bwcluster/internal/fleet",
+	"bwcluster/internal/serveapi",
+}, algorithmPackages...)
+
+// checkPackages lists, per check, the import paths it runs on (DESIGN.md
+// §8d). concurrency and goroleak run on every package, and apihygiene on
+// every package under internal/.
+var checkPackages = map[string][]string{
+	"determinism": append(slices.Clone(algorithmPackages), ioPackages...),
+	"telemetry":   instrumentedPackages,
+	"flight":      instrumentedPackages,
+	// The flat hot-path packages use arena representations (DESIGN.md
+	// §8g): no pointer-linked node webs or integer-keyed map state.
+	"arenahygiene": {
+		"bwcluster/internal/cluster",
+		"bwcluster/internal/membership",
+		"bwcluster/internal/predtree",
+	},
+	// The concurrent packages' mutexes form the interprocedural lock
+	// graph (DESIGN.md §8i).
+	"lockorder": {
+		"bwcluster/internal/runtime",
+		"bwcluster/internal/transport",
+		"bwcluster/internal/membership",
+		"bwcluster/internal/telemetry",
+		"bwcluster/internal/fleet",
+		"bwcluster/internal/bwledger",
+	},
+	// The protocol packages define or dispatch on the wire protocol's
+	// message kinds.
+	"protostate": {
+		"bwcluster/internal/runtime",
+		"bwcluster/internal/transport",
+	},
 }
 
 // fixtureBase returns the directory base name when pkg is a bwc-vet test
-// fixture (under testdata/src). Fixture packages opt into exactly the
-// check matching their name, so `bwc-vet ./internal/analysis/testdata/src/X`
-// reproduces the self-tests from the command line.
+// fixture (under testdata/src).
 func fixtureBase(pkg *Package) (string, bool) {
 	i := strings.LastIndex(pkg.Path, "/testdata/src/")
 	if i < 0 {
@@ -165,128 +147,36 @@ func fixtureBase(pkg *Package) (string, bool) {
 	return pkg.Path[i+len("/testdata/src/"):], true
 }
 
-// algorithmScope reports whether pkg is one of the determinism-critical
-// packages.
-func (c *Config) algorithmScope(pkg *Package) bool {
+// inScope reports whether check runs on pkg. A fixture package opts into
+// exactly the check its base name selects, less any "hygiene" suffix
+// (telemetryhygiene selects telemetry), so `bwc-vet
+// ./internal/analysis/testdata/src/X` reproduces the self-tests from the
+// command line; the directive and iodeterminism fixtures select
+// determinism.
+func inScope(check string, pkg *Package) bool {
 	if base, ok := fixtureBase(pkg); ok {
-		return base == "determinism" || base == "directive"
-	}
-	for _, p := range c.AlgorithmPackages {
-		if pkg.Path == p {
-			return true
+		if base == "directive" || base == "iodeterminism" {
+			return check == "determinism"
 		}
+		return strings.TrimSuffix(base, "hygiene") == strings.TrimSuffix(check, "hygiene")
 	}
-	return false
+	switch check {
+	case "concurrency", "goroleak":
+		return true
+	case "apihygiene":
+		return strings.Contains(pkg.Path, "/internal/")
+	}
+	return slices.Contains(checkPackages[check], pkg.Path)
 }
 
-// ioScope reports whether pkg is an I/O package: determinism applies in
-// its seed-and-order form (global rand, map-order leaks) but wall-clock
-// reads are in charter.
-func (c *Config) ioScope(pkg *Package) bool {
+// ioPackage reports whether pkg is an I/O package: determinism applies
+// in its seed-and-order form (global rand, map-order leaks) but
+// wall-clock reads are in charter.
+func ioPackage(pkg *Package) bool {
 	if base, ok := fixtureBase(pkg); ok {
 		return base == "iodeterminism"
 	}
-	for _, p := range c.IOPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// concurrencyScope reports whether pkg gets the lock-discipline check
-// (every real package; only the matching fixture).
-func (c *Config) concurrencyScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "concurrency"
-	}
-	return true
-}
-
-// instrumentedScope reports whether pkg is subject to telemetry hygiene.
-func (c *Config) instrumentedScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "telemetryhygiene"
-	}
-	for _, p := range c.InstrumentedPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// flightScope reports whether pkg is subject to flight-recorder hygiene
-// (the instrumented packages; only the matching fixture).
-func (c *Config) flightScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "flighthygiene"
-	}
-	for _, p := range c.InstrumentedPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// arenaScope reports whether pkg is subject to flat-arena hygiene (the
-// flat hot-path packages; only the matching fixture).
-func (c *Config) arenaScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "arenahygiene"
-	}
-	for _, p := range c.FlatPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// lockScope reports whether pkg's mutexes join the interprocedural lock
-// graph (the concurrent packages; only the matching fixture).
-func (c *Config) lockScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "lockorder"
-	}
-	for _, p := range c.ConcurrentPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// goroScope reports whether pkg's `go` statements need provable exit
-// paths (every real package; only the matching fixture).
-func (c *Config) goroScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "goroleak"
-	}
-	return true
-}
-
-// protoScope reports whether pkg is subject to the wire-protocol state
-// check (the protocol packages; only the matching fixture).
-func (c *Config) protoScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "protostate"
-	}
-	for _, p := range c.ProtocolPackages {
-		if pkg.Path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// apiScope reports whether pkg gets the API hygiene check.
-func (c *Config) apiScope(pkg *Package) bool {
-	if base, ok := fixtureBase(pkg); ok {
-		return base == "apihygiene"
-	}
-	return c.APIPathSubstring == "" || strings.Contains(pkg.Path, c.APIPathSubstring)
+	return slices.Contains(ioPackages, pkg.Path)
 }
 
 // A Check is one named, independently toggleable analysis pass.

@@ -10,7 +10,7 @@ import (
 // a doc comment, and context.Context — where a function takes one — is
 // the first parameter, per the standard library convention.
 func runAPIHygiene(p *Pass) {
-	if !p.Cfg.apiScope(p.Pkg) {
+	if !inScope("apihygiene", p.Pkg) {
 		return
 	}
 	for _, fn := range p.Pkg.FuncDecls() {

@@ -31,7 +31,7 @@ import (
 //     per-tick or per-message path), so it must work in caller-provided
 //     buffers and arena free-lists.
 func runArenaHygiene(p *Pass) {
-	if !p.Cfg.arenaScope(p.Pkg) {
+	if !inScope("arenahygiene", p.Pkg) {
 		return
 	}
 	checkHotpathFuncs(p)

@@ -14,7 +14,7 @@ import (
 // actually take that mutex (or are *Locked helpers whose caller holds
 // it).
 func runConcurrency(p *Pass) {
-	if !p.Cfg.concurrencyScope(p.Pkg) {
+	if !inScope("concurrency", p.Pkg) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

@@ -14,16 +14,16 @@ import (
 // not let map iteration order leak into a slice that escapes the
 // function without being sorted first.
 //
-// I/O packages (Config.IOPackages) get the same check minus the
+// I/O packages (ioPackages) get the same check minus the
 // wall-clock rule: a transport legitimately reads clocks for deadlines
 // and reconnect backoff, but its injected-fault schedule must still be a
 // pure function of an explicit seed, so the global-rand and
 // map-order-leak rules stay in force.
 func runDeterminism(p *Pass) {
-	io := p.Cfg.ioScope(p.Pkg)
-	if !io && !p.Cfg.algorithmScope(p.Pkg) {
+	if !inScope("determinism", p.Pkg) {
 		return
 	}
+	io := ioPackage(p.Pkg)
 	for _, f := range p.Pkg.Files {
 		checkGlobalRand(p, f)
 	}
@@ -66,7 +66,7 @@ func checkGlobalRand(p *Pass, f *ast.File) {
 			return true
 		}
 		noun := "algorithm"
-		if p.Cfg.ioScope(p.Pkg) {
+		if ioPackage(p.Pkg) {
 			noun = "I/O"
 		}
 		p.Reportf(call.Pos(),
@@ -167,11 +167,11 @@ func isTelemetryCall(p *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	if pkgPath, ok := selectorPackage(p.Pkg.Info, sel); ok {
-		return pkgPath == p.Cfg.TelemetryPath
+		return pkgPath == telemetryPath
 	}
 	if selection, ok := p.Pkg.Info.Selections[sel]; ok {
 		if named, ok := derefType(selection.Recv()).(*types.Named); ok {
-			if tp := named.Obj().Pkg(); tp != nil && tp.Path() == p.Cfg.TelemetryPath {
+			if tp := named.Obj().Pkg(); tp != nil && tp.Path() == telemetryPath {
 				return true
 			}
 		}

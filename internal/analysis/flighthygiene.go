@@ -17,7 +17,7 @@ import (
 // through (variable payload belongs in the detail argument, which is
 // truncated at append).
 func runFlight(p *Pass) {
-	if !p.Cfg.flightScope(p.Pkg) || p.Pkg.Path == p.Cfg.TelemetryPath {
+	if !inScope("flight", p.Pkg) || p.Pkg.Path == telemetryPath {
 		return
 	}
 	info := p.Pkg.Info
@@ -33,7 +33,7 @@ func runFlight(p *Pass) {
 				return true
 			}
 			if libraryPkg {
-				if pkgPath, ok := selectorPackage(info, sel); ok && pkgPath == p.Cfg.TelemetryPath && sel.Sel.Name == "FlightDefault" {
+				if pkgPath, ok := selectorPackage(info, sel); ok && pkgPath == telemetryPath && sel.Sel.Name == "FlightDefault" {
 					p.Reportf(x.Pos(),
 						"library packages must not touch telemetry.FlightDefault(): flight recorders arrive through explicit plumbing (SetFlight, config fields); only serving binaries own the process ring")
 					return true
@@ -45,7 +45,7 @@ func runFlight(p *Pass) {
 					return true
 				}
 				named, isNamed := derefType(s.Recv()).(*types.Named)
-				if !isNamed || named.Obj().Name() != "FlightRecorder" || !typeFromPackage(named, p.Cfg.TelemetryPath) {
+				if !isNamed || named.Obj().Name() != "FlightRecorder" || !typeFromPackage(named, telemetryPath) {
 					return true
 				}
 				if tv, ok := info.Types[x.Args[0]]; !ok || tv.Value == nil {

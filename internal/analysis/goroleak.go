@@ -17,7 +17,7 @@ package analysis
 // the go statement.
 
 func runGoroLeak(p *Pass) {
-	if !p.Cfg.goroScope(p.Pkg) {
+	if !inScope("goroleak", p.Pkg) {
 		return
 	}
 	prog := p.Prog()

@@ -49,7 +49,7 @@ type lockGraph struct {
 }
 
 func runLockOrder(p *Pass) {
-	if !p.Cfg.lockScope(p.Pkg) {
+	if !inScope("lockorder", p.Pkg) {
 		return
 	}
 	prog := p.Prog()
@@ -69,7 +69,7 @@ func buildLockGraph(prog *Program, cfg *Config) *lockGraph {
 	g := &lockGraph{}
 	var scoped []*FuncInfo
 	for _, pkg := range prog.Pkgs {
-		if !cfg.lockScope(pkg) {
+		if !inScope("lockorder", pkg) {
 			continue
 		}
 		scoped = append(scoped, prog.ByPkg[pkg]...)

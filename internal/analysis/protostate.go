@@ -33,7 +33,7 @@ import (
 )
 
 func runProtoState(p *Pass) {
-	if !p.Cfg.protoScope(p.Pkg) {
+	if !inScope("protostate", p.Pkg) {
 		return
 	}
 	checkKindSwitches(p)

@@ -38,6 +38,7 @@ var programBuilds atomic.Int64
 // ProgramBuilds returns how many times an interprocedural program has
 // been constructed in this process (test hook for the shared-cache
 // invariant).
+// Kept: test seam: tests pin one program build per run.
 func ProgramBuilds() int64 { return programBuilds.Load() }
 
 // HeldLock is one lock class held at a program point, with the position

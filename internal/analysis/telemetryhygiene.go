@@ -18,11 +18,11 @@ import (
 // (telemetry.Span instead of *telemetry.Span) — nil-safety only exists
 // behind the pointer.
 func runTelemetry(p *Pass) {
-	if !p.Cfg.instrumentedScope(p.Pkg) || p.Pkg.Path == p.Cfg.TelemetryPath {
+	if !inScope("telemetry", p.Pkg) || p.Pkg.Path == telemetryPath {
 		return
 	}
 	info := p.Pkg.Info
-	fromTelemetry := func(t types.Type) bool { return typeFromPackage(t, p.Cfg.TelemetryPath) }
+	fromTelemetry := func(t types.Type) bool { return typeFromPackage(t, telemetryPath) }
 	libraryPkg := strings.Contains(p.Pkg.Path, "/internal/")
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -42,7 +42,7 @@ func runTelemetry(p *Pass) {
 					}
 				}
 				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && libraryPkg {
-					if pkgPath, ok := selectorPackage(info, sel); ok && pkgPath == p.Cfg.TelemetryPath && sel.Sel.Name == "Default" {
+					if pkgPath, ok := selectorPackage(info, sel); ok && pkgPath == telemetryPath && sel.Sel.Name == "Default" {
 						p.Reportf(x.Pos(),
 							"library packages must not touch telemetry.Default(): register metrics with the package-level telemetry.New* helpers; only serving binaries read the registry")
 					}

@@ -1,7 +1,7 @@
 // Package cluster implements the paper's Algorithm 1 — the centralized
 // polynomial-time clustering algorithm for tree metric spaces — together
-// with a reusable precomputed index and a brute-force reference used in
-// tests.
+// with a reusable precomputed index that also answers the k-diameter
+// query (Index.MinDiameter).
 //
 // Given a metric space (V, d), a size constraint k >= 2 and a diameter
 // constraint l, the algorithm considers for every node pair (p, q) the
@@ -68,10 +68,6 @@ func validate(s metric.Space, k int, l float64) error {
 	return nil
 }
 
-// Members returns S*pq: every node within d(p,q) of both p and q, in
-// ascending index order. p and q are always members.
-func Members(s metric.Space, p, q int) []int { return firstMembers(s, p, q, s.N()) }
-
 // firstMembers returns the first k members of S*pq (all of them when
 // |S*pq| <= k), stopping the scan at the k-th.
 func firstMembers(s metric.Space, p, q, k int) []int {
@@ -129,6 +125,7 @@ func countMembers(s metric.Space, p, q int) int {
 // pair satisfies d(p,q) <= l yield min(N,1) with a singleton (or nil)
 // witness: a lone node is trivially a "cluster" of size one, but no k >= 2
 // query can be satisfied.
+// Kept: the direct-scan reference overlay tests check peers' CRTs against.
 func MaxClusterSize(s metric.Space, l float64) (int, []int) {
 	if s == nil || s.N() == 0 {
 		return 0, nil
@@ -148,115 +145,6 @@ func MaxClusterSize(s metric.Space, l float64) (int, []int) {
 		return 1, []int{0}
 	}
 	return best, firstMembers(s, bp, bq, best)
-}
-
-// MaxClusterSizeBinary computes the same maximum via binary search over k
-// with repeated FindCluster calls, the strategy Algorithm 3 suggests for a
-// node's local clustering space. It exists for the ablation benchmark
-// comparing the two strategies; MaxClusterSize is the direct O(n^3) scan.
-func MaxClusterSizeBinary(s metric.Space, l float64) (int, error) {
-	if s == nil || s.N() == 0 {
-		return 0, nil
-	}
-	lo, hi := 2, s.N() // invariant: answer < hi+1
-	if c, err := FindCluster(s, 2, l); err != nil {
-		return 0, err
-	} else if c == nil {
-		return 1, nil
-	}
-	// Largest feasible k in [lo, hi].
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		c, err := FindCluster(s, mid, l)
-		if err != nil {
-			return 0, err
-		}
-		if c != nil {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
-}
-
-// MinDiameter finds k nodes whose diameter is minimal (the k-diameter
-// problem of Aggarwal et al., exact in tree metric spaces): scanning node
-// pairs by ascending distance, the first pair whose S*pq reaches k nodes
-// determines the optimal cluster, because diam(S*pq) = d(p,q) in a tree
-// metric. It returns the members and the achieved diameter, or nil when
-// the space has fewer than k nodes.
-func MinDiameter(s metric.Space, k int) ([]int, float64, error) {
-	if k < 2 {
-		return nil, 0, fmt.Errorf("cluster: size constraint k must be >= 2, got %d", k)
-	}
-	if s == nil {
-		return nil, 0, fmt.Errorf("cluster: nil space")
-	}
-	if s.N() < k {
-		return nil, 0, nil
-	}
-	for _, pr := range sortedPairs(s) {
-		if countMembers(s, int(pr.p), int(pr.q)) >= k {
-			return firstMembers(s, int(pr.p), int(pr.q), k), pr.d, nil
-		}
-	}
-	return nil, 0, nil
-}
-
-// Valid reports whether the given nodes form a cluster of diameter at most
-// l in s (checking every pair against the actual distances, with no
-// tree-metric assumption).
-func Valid(s metric.Space, nodes []int, l float64) bool {
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if s.Dist(nodes[i], nodes[j]) > l {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// BruteForce searches all subsets for k nodes with true diameter at most l
-// (exact in any metric space, exponential time). It is the test reference
-// for FindCluster's completeness on tree metrics.
-func BruteForce(s metric.Space, k int, l float64) ([]int, error) {
-	if err := validate(s, k, l); err != nil {
-		return nil, err
-	}
-	picked := make([]int, 0, k)
-	var rec func(next int) []int
-	rec = func(next int) []int {
-		if len(picked) == k {
-			out := make([]int, k)
-			copy(out, picked)
-			return out
-		}
-		// Not enough nodes left to finish.
-		if s.N()-next < k-len(picked) {
-			return nil
-		}
-		for x := next; x < s.N(); x++ {
-			ok := true
-			for _, m := range picked {
-				if s.Dist(m, x) > l {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			picked = append(picked, x)
-			if out := rec(x + 1); out != nil {
-				return out
-			}
-			picked = picked[:len(picked)-1]
-		}
-		return nil
-	}
-	return rec(0), nil
 }
 
 // pair is one (p, q) candidate with its distance. Node IDs are int32
@@ -346,8 +234,13 @@ func sortByDist(pairs []pair) {
 	copy(pairs, src) // a no-op when an even number of passes ran
 }
 
-// sizePairs returns |S*pq| for every pair p < q, indexed p*n+q, in one
-// sweep over pairs (sortedPairs' order). S*pq = B_p(t) ∩ B_q(t) for
+// lexAt returns the position of pair p < q in the lexicographic (p, q)
+// order of an n-node space's n(n-1)/2 pairs: the packed upper triangle
+// lexSizes is stored in.
+func lexAt(n, p, q int) int { return p*(2*n-p-1)/2 + q - p - 1 }
+
+// sizePairs returns |S*pq| for every pair p < q, indexed lexAt(n, p, q),
+// in one sweep over pairs (sortedPairs' order). S*pq = B_p(t) ∩ B_q(t) for
 // t = d(p,q), where B_x(t) = {y : d(x,y) <= t}. The sweep keeps every
 // ball, less its centre, as one row of an n×n bitset and walks the pairs
 // one tie group at a time: it first adds each pair of the group to both
@@ -358,7 +251,7 @@ func sortByDist(pairs []pair) {
 // last and are sized 0, as countMembers sizes them.
 func sizePairs(s metric.Space, pairs []pair) []int32 {
 	n := s.N()
-	sizes := make([]int32, n*n)
+	sizes := make([]int32, n*(n-1)/2)
 	words := (n + 63) / 64
 	balls := make([]uint64, n*words)
 	own := make([]float64, n)
@@ -387,7 +280,7 @@ func sizePairs(s metric.Space, pairs []pair) []int32 {
 					count++
 				}
 			}
-			sizes[int(pr.p)*n+int(pr.q)] = int32(count)
+			sizes[lexAt(n, int(pr.p), int(pr.q))] = int32(count)
 		}
 		i = j
 	}
@@ -405,7 +298,7 @@ func sizePairs(s metric.Space, pairs []pair) []int32 {
 type Index struct {
 	space     metric.Space
 	n         int
-	lexSizes  []int32 // |S*pq| indexed p*n+q (p < q); n < 2^31 always holds
+	lexSizes  []int32 // |S*pq| indexed lexAt(n, p, q); n < 2^31 always holds
 	pairs     []pair  // sorted ascending by distance, for MaxSize
 	prefixMax []int32 // prefixMax[i] = max |S*pq| over pairs[0..i]
 
@@ -440,7 +333,7 @@ func NewIndex(s metric.Space) (*Index, error) {
 	prefixMax := make([]int32, len(pairs))
 	running := int32(0)
 	for i, pr := range pairs {
-		running = max(running, lexSizes[int(pr.p)*n+int(pr.q)])
+		running = max(running, lexSizes[lexAt(n, int(pr.p), int(pr.q))])
 		prefixMax[i] = running
 	}
 	return &Index{
@@ -493,6 +386,25 @@ func (ix *Index) Find(k int, l float64) ([]int, error) {
 	return firstMembers(ix.space, int(pr.p), int(pr.q), k), nil
 }
 
+// MinDiameter answers the k-diameter query of Aggarwal et al., exact in
+// tree metric spaces: the first pair in (distance, p, q) order whose
+// S*pq reaches k nodes determines the optimal cluster, because
+// diam(S*pq) = d(p,q) in a tree metric. It returns the first k members
+// of that S*pq and d(p,q), or nil when the space has fewer than k nodes.
+// The search is a binary search over prefixMax, and the answer is the
+// only allocation.
+func (ix *Index) MinDiameter(k int) ([]int, float64, error) {
+	if k < 2 {
+		return nil, 0, fmt.Errorf("cluster: size constraint k must be >= 2, got %d", k)
+	}
+	i := sort.Search(len(ix.prefixMax), func(i int) bool { return int(ix.prefixMax[i]) >= k })
+	if i == len(ix.pairs) {
+		return nil, 0, nil
+	}
+	pr := ix.pairs[i]
+	return firstMembers(ix.space, int(pr.p), int(pr.q), k), pr.d, nil
+}
+
 // staircase returns the table for k (2 <= k <= n), building it in one
 // O(n^2) pass over lexSizes on first use.
 func (ix *Index) staircase(k int) []pair {
@@ -508,9 +420,10 @@ func (ix *Index) staircase(k int) []pair {
 	}
 	mCacheMisses.Inc()
 	var st []pair
+	i := 0
 	for p := 0; p < ix.n; p++ {
-		for q := p + 1; q < ix.n; q++ {
-			if int(ix.lexSizes[p*ix.n+q]) < k {
+		for q := p + 1; q < ix.n; q, i = q+1, i+1 {
+			if int(ix.lexSizes[i]) < k {
 				continue
 			}
 			if d := ix.space.Dist(p, q); len(st) == 0 || d < st[len(st)-1].d {
@@ -527,19 +440,13 @@ type Rung struct {
 	P, Q, Size int32
 }
 
-// Ladder returns, in lexicographic (p, q) order, each pair with
-// d(p,q) <= l whose |S*pq| is larger than that of every earlier pair
-// within l. Sizes therefore strictly increase, and FindCluster(s, k, l)
-// is the first k members of Climb(ladder, k): the first qualifying pair
-// of the scan is always a rung.
-func (ix *Index) Ladder(l float64) []Rung {
-	rungs, _ := ix.Ladders([]float64{l})
-	return rungs
-}
-
-// Ladders returns the ladder of every l in ls back to back in one
-// allocation: ladder i is rungs[ends[i-1]:ends[i]], starting at 0 for
-// i = 0. It makes two O(n^2 |ls|) passes over the sized pairs, one to
+// Ladders returns the ladder of every l in ls. The ladder of l lists, in
+// lexicographic (p, q) order, each pair with d(p,q) <= l whose |S*pq| is
+// larger than that of every earlier pair within l. Sizes therefore
+// strictly increase, and FindCluster(s, k, l) is the first k members of
+// Climb(ladder, k): the first qualifying pair of the scan is always a
+// rung. The ladders lie back to back in one allocation: ladder i is
+// rungs[ends[i-1]:ends[i]], starting at 0 for i = 0. It makes two O(n^2 |ls|) passes over the sized pairs, one to
 // count the rungs and one to write them.
 func (ix *Index) Ladders(ls []float64) (rungs []Rung, ends []int32) {
 	ends = make([]int32, len(ls))
@@ -565,13 +472,14 @@ func (ix *Index) Ladders(ls []float64) (rungs []Rung, ends []int32) {
 // for each pair that extends ladder i: d(p,q) <= ls[i] and |S*pq| above
 // best[i], which it raises to the pair's size.
 func (ix *Index) climbPairs(ls []float64, best []int32, rung func(i int, r Rung)) {
+	i := 0
 	for p := 0; p < ix.n; p++ {
-		for q := p + 1; q < ix.n; q++ {
-			size, d := ix.lexSizes[p*ix.n+q], ix.space.Dist(p, q)
-			for i, l := range ls {
-				if d <= l && size > best[i] {
-					best[i] = size
-					rung(i, Rung{P: int32(p), Q: int32(q), Size: size})
+		for q := p + 1; q < ix.n; q, i = q+1, i+1 {
+			size, d := ix.lexSizes[i], ix.space.Dist(p, q)
+			for j, l := range ls {
+				if d <= l && size > best[j] {
+					best[j] = size
+					rung(j, Rung{P: int32(p), Q: int32(q), Size: size})
 				}
 			}
 		}

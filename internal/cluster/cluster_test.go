@@ -76,7 +76,7 @@ func TestFindClusterLine(t *testing.T) {
 			if len(got) != tt.wantLen {
 				t.Fatalf("got %v, want %d nodes", got, tt.wantLen)
 			}
-			if !Valid(m, got, tt.l) {
+			if !valid(m, got, tt.l) {
 				t.Errorf("cluster %v violates diameter %v", got, tt.l)
 			}
 		})
@@ -99,7 +99,7 @@ func TestFindClusterFirstQualifyingPair(t *testing.T) {
 
 func TestMembers(t *testing.T) {
 	m := lineMetric(0, 1, 2, 10)
-	got := Members(m, 0, 2) // d=2; members: 0,1,2
+	got := firstMembers(m, 0, 2, m.N()) // d=2; members: 0,1,2
 	want := []int{0, 1, 2}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -127,7 +127,7 @@ func TestMaxClusterSize(t *testing.T) {
 		if got != tt.want {
 			t.Errorf("MaxClusterSize(l=%v) = %d, want %d", tt.l, got, tt.want)
 		}
-		if got >= 2 && !Valid(m, witness, tt.l) {
+		if got >= 2 && !valid(m, witness, tt.l) {
 			t.Errorf("witness %v violates l=%v", witness, tt.l)
 		}
 		if len(witness) != got && got >= 2 {
@@ -149,7 +149,7 @@ func TestMaxClusterSizeBinaryMatchesDirect(t *testing.T) {
 		m := testutil.NoisyTreeMetric(n, 0.2, rng)
 		for _, l := range []float64{0.1, 1, 5, 20, 100} {
 			direct, _ := MaxClusterSize(m, l)
-			binary, err := MaxClusterSizeBinary(m, l)
+			binary, err := maxClusterSizeBinary(m, l)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestMaxClusterSizeBinaryMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-	if n, err := MaxClusterSizeBinary(nil, 1); err != nil || n != 0 {
+	if n, err := maxClusterSizeBinary(nil, 1); err != nil || n != 0 {
 		t.Errorf("nil space: %d %v", n, err)
 	}
 }
@@ -179,7 +179,7 @@ func TestFindClusterCompleteOnTreeMetrics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := BruteForce(m, k, l)
+				slow, err := bruteForce(m, k, l)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func TestFindClusterCompleteOnTreeMetrics(t *testing.T) {
 					if len(fast) != k {
 						t.Fatalf("cluster size %d, want %d", len(fast), k)
 					}
-					if !Valid(m, fast, l*(1+1e-9)) {
+					if !valid(m, fast, l*(1+1e-9)) {
 						t.Fatalf("n=%d k=%d l=%v: cluster %v violates diameter", n, k, l, fast)
 					}
 				}
@@ -219,37 +219,37 @@ func TestFindClusterOnNoisyMetric(t *testing.T) {
 
 func TestValid(t *testing.T) {
 	m := lineMetric(0, 1, 5)
-	if !Valid(m, []int{0, 1}, 1) {
+	if !valid(m, []int{0, 1}, 1) {
 		t.Error("pair within l rejected")
 	}
-	if Valid(m, []int{0, 2}, 1) {
+	if valid(m, []int{0, 2}, 1) {
 		t.Error("pair beyond l accepted")
 	}
-	if !Valid(m, nil, 0) {
+	if !valid(m, nil, 0) {
 		t.Error("empty set should be valid")
 	}
-	if !Valid(m, []int{2}, 0) {
+	if !valid(m, []int{2}, 0) {
 		t.Error("singleton should be valid")
 	}
 }
 
 func TestBruteForce(t *testing.T) {
 	m := lineMetric(0, 1, 2, 10)
-	got, err := BruteForce(m, 3, 2)
+	got, err := bruteForce(m, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || !Valid(m, got, 2) {
+	if got == nil || !valid(m, got, 2) {
 		t.Errorf("brute force got %v", got)
 	}
-	got, err = BruteForce(m, 3, 1)
+	got, err = bruteForce(m, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != nil {
 		t.Errorf("impossible query returned %v", got)
 	}
-	if _, err := BruteForce(m, 0, 1); err == nil {
+	if _, err := bruteForce(m, 0, 1); err == nil {
 		t.Error("k=0 should fail")
 	}
 }
@@ -398,13 +398,13 @@ func TestLadderMatchesFindCluster(t *testing.T) {
 			ls := m.Values()
 			rungs, ends := ix.Ladders(ls)
 			for i, l := range ls {
-				ladder := ix.Ladder(l)
+				ladder := ladderOf(ix, l)
 				start := int32(0)
 				if i > 0 {
 					start = ends[i-1]
 				}
 				if !slices.Equal(rungs[start:ends[i]], ladder) {
-					t.Fatalf("n=%d seed=%d l=%v: Ladders gives %v, Ladder %v", n, seed, l, rungs[start:ends[i]], ladder)
+					t.Fatalf("n=%d seed=%d l=%v: Ladders gives %v, alone %v", n, seed, l, rungs[start:ends[i]], ladder)
 				}
 				for j := 1; j < len(ladder); j++ {
 					if ladder[j].Size <= ladder[j-1].Size {

@@ -79,13 +79,13 @@ func FuzzFindClusterRepresentations(f *testing.F) {
 			check("Index.Find", indexed, err)
 			ixp, err := ixPar.Find(k, lq)
 			check("Index.Find (parallel-built index)", ixp, err)
-			check("Index.Ladder", ladderAnswer(m, ix.Ladder(lq), k), nil)
+			check("Index.Ladders", ladderAnswer(m, ladderOf(ix, lq), k), nil)
 		}
 		// Both classes' ladders in one allocation equal each on its own.
 		below := math.Nextafter(l, math.Inf(-1))
 		rungs, ends := ix.Ladders([]float64{l, below})
-		if !slices.Equal(rungs[:ends[0]], ix.Ladder(l)) || !slices.Equal(rungs[ends[0]:ends[1]], ix.Ladder(below)) {
-			t.Fatalf("Ladders(%v, %v) = %v split at %v, want Ladder of each", l, below, rungs, ends)
+		if !slices.Equal(rungs[:ends[0]], ladderOf(ix, l)) || !slices.Equal(rungs[ends[0]:ends[1]], ladderOf(ix, below)) {
+			t.Fatalf("Ladders(%v, %v) = %v split at %v, want each ladder alone", l, below, rungs, ends)
 		}
 
 		// The sized-pair tables of both index builds must agree too.
@@ -107,4 +107,11 @@ func ladderAnswer(m *metric.Matrix, ladder []Rung, k int) []int {
 		return nil
 	}
 	return firstMembers(m, int(r.P), int(r.Q), k)
+}
+
+// ladderOf returns l's ladder alone, the way a single-class peer asks
+// for it.
+func ladderOf(ix *Index, l float64) []Rung {
+	rungs, _ := ix.Ladders([]float64{l})
+	return rungs
 }

@@ -34,15 +34,25 @@ func bruteMinDiameter(s metric.Space, k int) float64 {
 	return best
 }
 
+// minDiameter answers the k-diameter query through an index over s.
+func minDiameter(t *testing.T, s metric.Space, k int) ([]int, float64, error) {
+	t.Helper()
+	ix, err := NewIndex(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.MinDiameter(k)
+}
+
 func TestMinDiameterValidation(t *testing.T) {
 	m := metric.NewMatrix(3)
-	if _, _, err := MinDiameter(m, 1); err == nil {
+	if _, _, err := minDiameter(t, m, 1); err == nil {
 		t.Error("k=1 should fail")
 	}
-	if _, _, err := MinDiameter(nil, 2); err == nil {
+	if _, err := NewIndex(nil); err == nil {
 		t.Error("nil space should fail")
 	}
-	members, _, err := MinDiameter(m, 4)
+	members, _, err := minDiameter(t, m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestMinDiameterValidation(t *testing.T) {
 	}
 }
 
-// On exact tree metrics, MinDiameter is optimal: it matches the
+// On exact tree metrics, Index.MinDiameter is optimal: it matches the
 // brute-force minimum over all k-subsets exactly.
 func TestMinDiameterOptimalOnTreeMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -59,7 +69,7 @@ func TestMinDiameterOptimalOnTreeMetrics(t *testing.T) {
 		n := 4 + rng.Intn(7)
 		m := testutil.RandomTreeMetric(n, rng)
 		for k := 2; k <= n && k <= 5; k++ {
-			members, diam, err := MinDiameter(m, k)
+			members, diam, err := minDiameter(t, m, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +94,7 @@ func TestMinDiameterOptimalOnTreeMetrics(t *testing.T) {
 func TestMinDiameterOnNoisyMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	m := testutil.NoisyTreeMetric(15, 0.4, rng)
-	members, diam, err := MinDiameter(m, 5)
+	members, diam, err := minDiameter(t, m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +117,7 @@ func TestMinDiameterConsistentWithFindCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m := testutil.RandomTreeMetric(12, rng)
 	for k := 2; k <= 6; k++ {
-		_, diam, err := MinDiameter(m, k)
+		_, diam, err := minDiameter(t, m, k)
 		if err != nil {
 			t.Fatal(err)
 		}

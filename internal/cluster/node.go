@@ -56,18 +56,3 @@ func FindNodeForSet(s metric.Space, set []int, l float64) (int, float64, error) 
 	}
 	return best, bestD, nil
 }
-
-// SetRadius returns max_{m in set} d(x, m), the quantity FindNodeForSet
-// minimizes, or +Inf for an empty set.
-func SetRadius(s metric.Space, x int, set []int) float64 {
-	if len(set) == 0 {
-		return math.Inf(1)
-	}
-	worst := 0.0
-	for _, m := range set {
-		if d := s.Dist(x, m); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}

@@ -55,8 +55,8 @@ func TestFindNodeForSetLine(t *testing.T) {
 			if got != tt.want {
 				t.Fatalf("got %d (radius %v), want %d", got, radius, tt.want)
 			}
-			if radius != SetRadius(m, got, tt.set) {
-				t.Errorf("radius %v inconsistent with SetRadius %v", radius, SetRadius(m, got, tt.set))
+			if radius != setRadius(m, got, tt.set) {
+				t.Errorf("radius %v inconsistent with setRadius %v", radius, setRadius(m, got, tt.set))
 			}
 		})
 	}
@@ -87,7 +87,7 @@ func TestFindNodeForSetOptimalProperty(t *testing.T) {
 			if inSet[x] {
 				continue
 			}
-			if r := SetRadius(m, x, set); r <= l && r < wantR {
+			if r := setRadius(m, x, set); r <= l && r < wantR {
 				want, wantR = x, r
 			}
 		}
@@ -102,13 +102,28 @@ func TestFindNodeForSetOptimalProperty(t *testing.T) {
 
 func TestSetRadius(t *testing.T) {
 	m := lineMetric(0, 5, 9)
-	if r := SetRadius(m, 0, []int{1, 2}); r != 9 {
-		t.Errorf("SetRadius = %v, want 9", r)
+	if r := setRadius(m, 0, []int{1, 2}); r != 9 {
+		t.Errorf("setRadius = %v, want 9", r)
 	}
-	if r := SetRadius(m, 1, []int{0, 2}); r != 5 {
-		t.Errorf("SetRadius = %v, want 5", r)
+	if r := setRadius(m, 1, []int{0, 2}); r != 5 {
+		t.Errorf("setRadius = %v, want 5", r)
 	}
-	if r := SetRadius(m, 0, nil); !math.IsInf(r, 1) {
+	if r := setRadius(m, 0, nil); !math.IsInf(r, 1) {
 		t.Errorf("empty set radius = %v, want +Inf", r)
 	}
+}
+
+// setRadius returns max_{m in set} d(x, m), the quantity FindNodeForSet
+// minimizes, or +Inf for an empty set.
+func setRadius(s metric.Space, x int, set []int) float64 {
+	if len(set) == 0 {
+		return math.Inf(1)
+	}
+	worst := 0.0
+	for _, m := range set {
+		if d := s.Dist(x, m); d > worst {
+			worst = d
+		}
+	}
+	return worst
 }

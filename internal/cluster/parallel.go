@@ -37,4 +37,5 @@ func NewIndexParallelAt(s metric.Space, workers int, epoch uint64) (*Index, erro
 
 // FindParallel is Find; workers is ignored. A staircase lookup has no
 // scan left to shard.
+// Kept: perfbench calls it (ROADMAP 1(c)).
 func (ix *Index) FindParallel(k int, l float64, workers int) ([]int, error) { return ix.Find(k, l) }

@@ -30,7 +30,7 @@ func TestFindClusterInvariantsQuick(t *testing.T) {
 		}
 		if got == nil {
 			if noise == 0 {
-				slow, err := BruteForce(m, k, l)
+				slow, err := bruteForce(m, k, l)
 				if err != nil || slow != nil {
 					return false
 				}
@@ -48,7 +48,7 @@ func TestFindClusterInvariantsQuick(t *testing.T) {
 			seen[x] = true
 		}
 		// On exact tree metrics the answer really has diameter <= l.
-		if noise == 0 && !Valid(m, got, l*(1+1e-9)) {
+		if noise == 0 && !valid(m, got, l*(1+1e-9)) {
 			return false
 		}
 		return true
@@ -85,7 +85,7 @@ func TestMaxClusterSizeMonotoneQuick(t *testing.T) {
 			if size < prev {
 				return false
 			}
-			if !noisy && size >= 2 && !Valid(m, witness, l*(1+1e-9)) {
+			if !noisy && size >= 2 && !valid(m, witness, l*(1+1e-9)) {
 				return false
 			}
 			prev = size

@@ -222,7 +222,7 @@ func TestIndexSizesMatchRowScan(t *testing.T) {
 			want := rowScanSizes(s)
 			for p := 0; p < n; p++ {
 				for q := p + 1; q < n; q++ {
-					if got := ix.lexSizes[p*n+q]; got != want[p*n+q] {
+					if got := ix.lexSizes[lexAt(n, p, q)]; got != want[p*n+q] {
 						t.Fatalf("|S*(%d,%d)| = %d, row scan counts %d (d = %v)", p, q, got, want[p*n+q], s.Dist(p, q))
 					}
 				}

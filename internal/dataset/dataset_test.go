@@ -9,6 +9,7 @@ import (
 
 	"bwcluster/internal/metric"
 	"bwcluster/internal/stats"
+	"bwcluster/internal/testutil"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -66,10 +67,10 @@ func TestNoiselessIsTreeMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := metric.CheckMetric(d, 1e-9); err != nil {
+	if err := testutil.CheckMetric(d, 1e-9); err != nil {
 		t.Fatalf("not a metric: %v", err)
 	}
-	if eps := metric.AvgEpsilonExact(d); eps > 1e-9 {
+	if eps := testutil.AvgEpsilonExact(d); eps > 1e-9 {
 		t.Errorf("noise-free epsilon = %v, want 0", eps)
 	}
 }
@@ -304,7 +305,7 @@ func TestTopologyEvolvePreservesTreeness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eps := metric.AvgEpsilonExact(d); eps > 1e-9 {
+		if eps := testutil.AvgEpsilonExact(d); eps > 1e-9 {
 			t.Fatalf("step %d: evolved topology lost treeness, eps=%v", step, eps)
 		}
 	}

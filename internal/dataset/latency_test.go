@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"bwcluster/internal/metric"
+	"bwcluster/internal/testutil"
 )
 
 func TestLatencyConfigValidation(t *testing.T) {
@@ -56,10 +56,10 @@ func TestNoiselessLatencyIsTreeMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := metric.CheckMetric(lat, 1e-9); err != nil {
+	if err := testutil.CheckMetric(lat, 1e-9); err != nil {
 		t.Fatalf("not a metric: %v", err)
 	}
-	if eps := metric.AvgEpsilonExact(lat); eps > 1e-9 {
+	if eps := testutil.AvgEpsilonExact(lat); eps > 1e-9 {
 		t.Errorf("noise-free latency epsilon = %v, want 0", eps)
 	}
 }

@@ -17,63 +17,9 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// FindCluster returns the indices of k points with pairwise distance at
-// most l, or nil if no such set exists. It is exact in 2-d Euclidean
-// space: for each candidate determining pair (p, q) with d(p,q) <= l
-// (scanned in lexicographic order, mirroring the tree-metric Algorithm
-// 1's pair loop), the points within d(p,q) of both ends form a lens;
-// same-side points of the lens are automatically within d(p,q) of each
-// other, so a maximum independent set of the cross-side conflict graph
-// (pairs further than l apart) yields the largest cluster whose diameter
-// pair is (p, q).
-func FindCluster(points []Point, k int, l float64) ([]int, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("kdiam: size constraint k must be >= 2, got %d", k)
-	}
-	if l < 0 {
-		return nil, fmt.Errorf("kdiam: diameter constraint l must be >= 0, got %v", l)
-	}
-	n := len(points)
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
-			d := points[p].Dist(points[q])
-			if d > l {
-				continue
-			}
-			if members := clusterForPair(points, p, q, d, l, k); members != nil {
-				return members, nil
-			}
-		}
-	}
-	return nil, nil
-}
-
-// MaxClusterSize returns the largest k for which FindCluster succeeds,
-// with the same singleton conventions as the tree-metric variant.
-func MaxClusterSize(points []Point, l float64) int {
-	n := len(points)
-	if n == 0 {
-		return 0
-	}
-	best := 1
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
-			d := points[p].Dist(points[q])
-			if d > l {
-				continue
-			}
-			if members := clusterForPair(points, p, q, d, l, 0); len(members) > best {
-				best = len(members)
-			}
-		}
-	}
-	return best
-}
-
 // clusterForPair computes the largest cluster containing p and q whose
 // members all lie within d of both, with every cross-side pair within l;
-// it returns the first k members (or the full set when k <= 0 is treated
-// as "all") if at least k are found, nil otherwise.
+// it returns the first k members if at least k are found, nil otherwise.
 func clusterForPair(points []Point, p, q int, d, l float64, k int) []int {
 	// Lens membership.
 	lens := make([]int, 0, 8)
@@ -122,7 +68,7 @@ func clusterForPair(points []Point, p, q int, d, l float64, k int) []int {
 		return nil
 	}
 	sort.Ints(members)
-	if k > 0 && len(members) > k {
+	if len(members) > k {
 		members = members[:k]
 	}
 	return members
@@ -130,7 +76,6 @@ func clusterForPair(points []Point, p, q int, d, l float64, k int) []int {
 
 // Index caches pairwise distances of a fixed point set so repeated
 // queries with different (k, l) skip the O(n^2) distance recomputation.
-// Results are identical to FindCluster.
 type Index struct {
 	points []Point
 	n      int
@@ -151,7 +96,15 @@ func NewIndex(points []Point) *Index {
 	return &Index{points: pts, n: n, dist: dist}
 }
 
-// Find answers a (k, l) query like FindCluster.
+// Find returns the indices of k points with pairwise distance at most l,
+// or nil if no such set exists. It is exact in 2-d Euclidean space: for
+// each candidate determining pair (p, q) with d(p,q) <= l (scanned in
+// lexicographic order, mirroring the tree-metric Algorithm 1's pair
+// loop), the points within d(p,q) of both ends form a lens; same-side
+// points of the lens are automatically within d(p,q) of each other, so a
+// maximum independent set of the cross-side conflict graph (pairs
+// further than l apart) yields the largest cluster whose diameter pair
+// is (p, q).
 func (ix *Index) Find(k int, l float64) ([]int, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("kdiam: size constraint k must be >= 2, got %d", k)
@@ -171,84 +124,4 @@ func (ix *Index) Find(k int, l float64) ([]int, error) {
 		}
 	}
 	return nil, nil
-}
-
-// MinDiameter finds k points of minimal diameter (the original problem of
-// Aggarwal et al.): scanning pairs by ascending distance, the first pair
-// (p, q) admitting a k-point cluster with all pairwise distances at most
-// d(p,q) is optimal, because any k-set's diameter is realized by one of
-// its pairs. Returns nil when there are fewer than k points.
-func MinDiameter(points []Point, k int) ([]int, float64, error) {
-	if k < 2 {
-		return nil, 0, fmt.Errorf("kdiam: size constraint k must be >= 2, got %d", k)
-	}
-	if len(points) < k {
-		return nil, 0, nil
-	}
-	type pair struct {
-		p, q int
-		d    float64
-	}
-	pairs := make([]pair, 0, len(points)*(len(points)-1)/2)
-	for p := 0; p < len(points); p++ {
-		for q := p + 1; q < len(points); q++ {
-			pairs = append(pairs, pair{p: p, q: q, d: points[p].Dist(points[q])})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].d < pairs[j].d })
-	for _, pr := range pairs {
-		if members := clusterForPair(points, pr.p, pr.q, pr.d, pr.d, k); members != nil {
-			return members, pr.d, nil
-		}
-	}
-	return nil, 0, nil
-}
-
-// Valid reports whether the selected points have pairwise distance at
-// most l.
-func Valid(points []Point, sel []int, l float64) bool {
-	for i := 0; i < len(sel); i++ {
-		for j := i + 1; j < len(sel); j++ {
-			if points[sel[i]].Dist(points[sel[j]]) > l {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// BruteForce finds k points with pairwise distance at most l by
-// backtracking over all subsets. Exact and exponential; test reference.
-func BruteForce(points []Point, k int, l float64) []int {
-	picked := make([]int, 0, k)
-	var rec func(next int) []int
-	rec = func(next int) []int {
-		if len(picked) == k {
-			out := make([]int, k)
-			copy(out, picked)
-			return out
-		}
-		if len(points)-next < k-len(picked) {
-			return nil
-		}
-		for x := next; x < len(points); x++ {
-			ok := true
-			for _, m := range picked {
-				if points[m].Dist(points[x]) > l {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			picked = append(picked, x)
-			if out := rec(x + 1); out != nil {
-				return out
-			}
-			picked = picked[:len(picked)-1]
-		}
-		return nil
-	}
-	return rec(0)
 }

@@ -109,25 +109,26 @@ func TestMaxIndependentSet(t *testing.T) {
 }
 
 func TestFindClusterValidation(t *testing.T) {
-	pts := randPoints(5, 10, rand.New(rand.NewSource(3)))
-	if _, err := FindCluster(pts, 1, 5); err == nil {
+	ix := NewIndex(randPoints(5, 10, rand.New(rand.NewSource(3))))
+	if _, err := ix.Find(1, 5); err == nil {
 		t.Error("k=1 should fail")
 	}
-	if _, err := FindCluster(pts, 2, -1); err == nil {
+	if _, err := ix.Find(2, -1); err == nil {
 		t.Error("l<0 should fail")
 	}
 }
 
 func TestFindClusterSimple(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0}, {0, 1}, {50, 50}, {51, 50}}
-	got, err := FindCluster(pts, 3, 2)
+	ix := NewIndex(pts)
+	got, err := ix.Find(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || !Valid(pts, got, 2) {
+	if got == nil || !valid(pts, got, 2) {
 		t.Fatalf("got %v", got)
 	}
-	got, err = FindCluster(pts, 4, 2)
+	got, err = ix.Find(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +137,21 @@ func TestFindClusterSimple(t *testing.T) {
 	}
 }
 
-// Exactness: FindCluster succeeds exactly when brute force does, on random
+// Exactness: Index.Find succeeds exactly when brute force does, on random
 // point sets, and its output always satisfies the constraint.
 func TestFindClusterMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		n := 4 + rng.Intn(8)
 		pts := randPoints(n, 10, rng)
+		ix := NewIndex(pts)
 		for _, l := range []float64{1, 3, 6, 15} {
 			for k := 2; k <= n; k++ {
-				fast, err := FindCluster(pts, k, l)
+				fast, err := ix.Find(k, l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow := BruteForce(pts, k, l)
+				slow := bruteForce(pts, k, l)
 				if (fast == nil) != (slow == nil) {
 					t.Fatalf("n=%d k=%d l=%v: kdiam=%v brute=%v pts=%v", n, k, l, fast, slow, pts)
 				}
@@ -157,39 +159,12 @@ func TestFindClusterMatchesBruteForce(t *testing.T) {
 					if len(fast) != k {
 						t.Fatalf("size %d, want %d", len(fast), k)
 					}
-					if !Valid(pts, fast, l*(1+1e-9)) {
+					if !valid(pts, fast, l*(1+1e-9)) {
 						t.Fatalf("n=%d k=%d l=%v: %v violates constraint", n, k, l, fast)
 					}
 				}
 			}
 		}
-	}
-}
-
-func TestMaxClusterSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(8)
-		pts := randPoints(n, 10, rng)
-		for _, l := range []float64{2, 5, 20} {
-			got := MaxClusterSize(pts, l)
-			// Brute-force maximum.
-			want := 1
-			for k := 2; k <= n; k++ {
-				if BruteForce(pts, k, l) != nil {
-					want = k
-				}
-			}
-			if got != want {
-				t.Fatalf("n=%d l=%v: MaxClusterSize=%d brute=%d", n, l, got, want)
-			}
-		}
-	}
-	if got := MaxClusterSize(nil, 5); got != 0 {
-		t.Errorf("empty points: %d", got)
-	}
-	if got := MaxClusterSize([]Point{{0, 0}}, 5); got != 1 {
-		t.Errorf("single point: %d", got)
 	}
 }
 
@@ -220,6 +195,9 @@ func TestHalfLensDiameterProperty(t *testing.T) {
 	}
 }
 
+// Index.Find, the package's FindCluster query, answers exactly when
+// brute force does, with a valid cluster, over larger point sets than
+// TestFindClusterMatchesBruteForce and with a reused index.
 func TestIndexMatchesFindCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 15; trial++ {
@@ -228,21 +206,16 @@ func TestIndexMatchesFindCluster(t *testing.T) {
 		ix := NewIndex(pts)
 		for _, l := range []float64{1, 4, 12} {
 			for k := 2; k <= n; k++ {
-				direct, err := FindCluster(pts, k, l)
-				if err != nil {
-					t.Fatal(err)
-				}
 				indexed, err := ix.Find(k, l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (direct == nil) != (indexed == nil) {
-					t.Fatalf("n=%d k=%d l=%v: direct=%v indexed=%v", n, k, l, direct, indexed)
+				brute := bruteForce(pts, k, l)
+				if (brute == nil) != (indexed == nil) {
+					t.Fatalf("n=%d k=%d l=%v: brute=%v indexed=%v", n, k, l, brute, indexed)
 				}
-				for i := range direct {
-					if direct[i] != indexed[i] {
-						t.Fatalf("n=%d k=%d l=%v: direct=%v indexed=%v", n, k, l, direct, indexed)
-					}
+				if indexed != nil && (len(indexed) != k || !valid(pts, indexed, l*(1+1e-9))) {
+					t.Fatalf("n=%d k=%d l=%v: indexed=%v is not a valid %d-cluster", n, k, l, indexed, k)
 				}
 			}
 		}
@@ -258,92 +231,62 @@ func TestIndexMatchesFindCluster(t *testing.T) {
 
 func TestValid(t *testing.T) {
 	pts := []Point{{0, 0}, {3, 0}}
-	if Valid(pts, []int{0, 1}, 1) {
+	if valid(pts, []int{0, 1}, 1) {
 		t.Error("distant pair accepted")
 	}
-	if !Valid(pts, []int{0, 1}, 5) {
+	if !valid(pts, []int{0, 1}, 5) {
 		t.Error("close pair rejected")
 	}
-	if !Valid(pts, nil, 0) {
+	if !valid(pts, nil, 0) {
 		t.Error("empty selection rejected")
 	}
 }
 
-// bruteMinDiam finds the true minimum diameter over all k-subsets.
-func bruteMinDiam(pts []Point, k int) float64 {
-	best := -1.0
+// valid reports whether the selected points have pairwise distance at
+// most l.
+func valid(points []Point, sel []int, l float64) bool {
+	for i := 0; i < len(sel); i++ {
+		for j := i + 1; j < len(sel); j++ {
+			if points[sel[i]].Dist(points[sel[j]]) > l {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bruteForce finds k points with pairwise distance at most l by
+// backtracking over all subsets. Exact and exponential; test reference.
+func bruteForce(points []Point, k int, l float64) []int {
 	picked := make([]int, 0, k)
-	var rec func(next int)
-	rec = func(next int) {
+	var rec func(next int) []int
+	rec = func(next int) []int {
 		if len(picked) == k {
-			d := 0.0
-			for i := 0; i < k; i++ {
-				for j := i + 1; j < k; j++ {
-					if v := pts[picked[i]].Dist(pts[picked[j]]); v > d {
-						d = v
-					}
+			out := make([]int, k)
+			copy(out, picked)
+			return out
+		}
+		if len(points)-next < k-len(picked) {
+			return nil
+		}
+		for x := next; x < len(points); x++ {
+			ok := true
+			for _, m := range picked {
+				if points[m].Dist(points[x]) > l {
+					ok = false
+					break
 				}
 			}
-			if best < 0 || d < best {
-				best = d
+			if !ok {
+				continue
 			}
-			return
-		}
-		if len(pts)-next < k-len(picked) {
-			return
-		}
-		for x := next; x < len(pts); x++ {
 			picked = append(picked, x)
-			rec(x + 1)
+			if out := rec(x + 1); out != nil {
+				return out
+			}
 			picked = picked[:len(picked)-1]
 		}
+		return nil
 	}
-	rec(0)
-	return best
-}
-
-func TestMinDiameterMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 25; trial++ {
-		n := 4 + rng.Intn(6)
-		pts := randPoints(n, 10, rng)
-		for k := 2; k <= n && k <= 5; k++ {
-			members, diam, err := MinDiameter(pts, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(members) != k {
-				t.Fatalf("got %d members, want %d", len(members), k)
-			}
-			want := bruteMinDiam(pts, k)
-			// The achieved set diameter must equal the optimum.
-			got := 0.0
-			for i := 0; i < k; i++ {
-				for j := i + 1; j < k; j++ {
-					if v := pts[members[i]].Dist(pts[members[j]]); v > got {
-						got = v
-					}
-				}
-			}
-			if got > want*(1+1e-9) {
-				t.Fatalf("n=%d k=%d: diameter %v, optimal %v", n, k, got, want)
-			}
-			if diam < got*(1-1e-9) {
-				t.Fatalf("reported diameter %v below achieved %v", diam, got)
-			}
-		}
-	}
-}
-
-func TestMinDiameterValidation(t *testing.T) {
-	if _, _, err := MinDiameter(nil, 1); err == nil {
-		t.Error("k=1 should fail")
-	}
-	members, _, err := MinDiameter([]Point{{0, 0}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if members != nil {
-		t.Error("k > n should return nil members")
-	}
+	return rec(0)
 }

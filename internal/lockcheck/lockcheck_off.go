@@ -6,6 +6,7 @@ import "sync"
 
 // Enabled reports whether the dynamic lock-order assertion is compiled
 // in; false in the default build.
+// Kept: test seam: tests branch on the lockcheck build tag.
 func Enabled() bool { return false }
 
 // Mutex is a plain sync.Mutex in the default build. Embedding (rather

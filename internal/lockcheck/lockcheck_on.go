@@ -12,6 +12,7 @@ import (
 
 // Enabled reports whether the dynamic lock-order assertion is compiled
 // in; true under the lockcheck build tag.
+// Kept: test seam: tests branch on the lockcheck build tag.
 func Enabled() bool { return true }
 
 // Mutex shadows sync.Mutex with the lock-order assertion described in

@@ -133,7 +133,6 @@ type Tracker struct {
 
 	mu     sync.Mutex
 	status []Status // dense, host-indexed; guarded by mu
-	alive  int      // hosts currently alive or suspect; guarded by mu
 	epoch  uint64   // membership generation; guarded by mu
 	events []Event  // preallocated ring; guarded by mu
 	evHead int      // ring index of the oldest event; guarded by mu
@@ -200,7 +199,6 @@ func (tk *Tracker) NoteJoin(h int, now uint64) error {
 		return nil
 	}
 	tk.status[h] = StatusAlive
-	tk.alive++
 	tk.epoch++
 	tk.recordLocked(EventJoin, h, now)
 	return nil
@@ -218,7 +216,6 @@ func (tk *Tracker) NoteLeave(h int, now uint64) error {
 		return fmt.Errorf("membership: host %d is %s, cannot leave", h, s)
 	}
 	tk.status[h] = StatusLeft
-	tk.alive--
 	tk.epoch++
 	tk.recordLocked(EventLeave, h, now)
 	return nil
@@ -237,7 +234,6 @@ func (tk *Tracker) NoteFail(h int, now uint64) error {
 		return fmt.Errorf("membership: host %d is %s, cannot fail", h, s)
 	}
 	tk.status[h] = StatusDead
-	tk.alive--
 	tk.epoch++
 	tk.recordLocked(EventFail, h, now)
 	return nil
@@ -278,7 +274,6 @@ func (tk *Tracker) Observe(now uint64, hosts []int, ages []uint64, dead []int) [
 				tk.recordLocked(EventRecover, h, now)
 			} else if age >= tk.cfg.DeadAfterTicks {
 				tk.status[h] = StatusDead
-				tk.alive--
 				tk.epoch++
 				tk.recordLocked(EventFail, h, now)
 				dead = append(dead, h)
@@ -289,6 +284,7 @@ func (tk *Tracker) Observe(now uint64, hosts []int, ages []uint64, dead []int) [
 }
 
 // Status reports host h's classification.
+// Kept: test seam: tests read one host's classification.
 func (tk *Tracker) Status(h int) Status {
 	tk.mu.Lock()
 	defer tk.mu.Unlock()
@@ -306,14 +302,8 @@ func (tk *Tracker) Epoch() uint64 {
 	return tk.epoch
 }
 
-// AliveCount reports how many hosts are present (alive or suspect).
-func (tk *Tracker) AliveCount() int {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	return tk.alive
-}
-
 // Events appends the ring's events, oldest first, to buf and returns it.
+// Kept: test seam: tests read the event ring.
 func (tk *Tracker) Events(buf []Event) []Event {
 	tk.mu.Lock()
 	defer tk.mu.Unlock()

@@ -44,7 +44,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got := tk.Epoch(); got != 3 {
 		t.Fatalf("epoch after joins = %d, want 3", got)
 	}
-	if got := tk.AliveCount(); got != 3 {
+	if got := present(tk); got != 3 {
 		t.Fatalf("alive = %d, want 3", got)
 	}
 	// Idempotent: rejoining a present host changes nothing.
@@ -66,7 +66,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got := tk.Epoch(); got != 3 {
 		t.Fatalf("suspicion moved the epoch to %d", got)
 	}
-	if got := tk.AliveCount(); got != 3 {
+	if got := present(tk); got != 3 {
 		t.Fatalf("alive after suspicion = %d, want 3 (suspects are present)", got)
 	}
 
@@ -88,7 +88,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got := tk.Epoch(); got != 4 {
 		t.Fatalf("epoch after death = %d, want 4", got)
 	}
-	if got := tk.AliveCount(); got != 2 {
+	if got := present(tk); got != 2 {
 		t.Fatalf("alive after death = %d, want 2", got)
 	}
 
@@ -229,4 +229,10 @@ func TestChurnSnapshotCounts(t *testing.T) {
 	if len(snap.Hosts) != 4 {
 		t.Fatalf("snapshot hosts = %v", snap.Hosts)
 	}
+}
+
+// present counts the hosts the tracker holds present: alive or suspect.
+func present(tk *Tracker) int {
+	snap := tk.Snapshot()
+	return snap.Alive + snap.Suspect
 }

@@ -8,7 +8,6 @@ package metric
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -85,6 +84,7 @@ func (m *Matrix) Set(i, j int, v float64) {
 }
 
 // Clone returns a deep copy of m.
+// Kept: perfbench calls it (ROADMAP 1(c)).
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)
 	copy(c.data, m.data)
@@ -170,16 +170,6 @@ func DistanceFromBandwidth(bw *Matrix, c float64) (*Matrix, error) {
 // positiveFinite reports whether v is in (0, +Inf); NaN is not.
 func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// BandwidthFromDistance inverts the rational transform, BW = C/d.
-func BandwidthFromDistance(d *Matrix, c float64) (*Matrix, error) {
-	// The transform is an involution up to the constant, so reuse it.
-	bw, err := DistanceFromBandwidth(d, c)
-	if err != nil {
-		return nil, fmt.Errorf("metric: invert rational transform: %w", err)
-	}
-	return bw, nil
-}
-
 // DistanceForBandwidthConstraint converts a minimum-bandwidth query
 // constraint b into the equivalent maximum-diameter constraint l = C/b.
 func DistanceForBandwidthConstraint(b, c float64) (float64, error) {
@@ -229,45 +219,5 @@ func (m *Matrix) GobDecode(b []byte) error {
 	}
 	m.n = w.N
 	m.data = w.Data
-	return nil
-}
-
-// ErrNotMetric reports a violated metric axiom.
-var ErrNotMetric = errors.New("metric: not a metric space")
-
-// CheckMetric verifies non-negativity, zero diagonal, symmetry and the
-// triangle inequality (with a small relative tolerance). It returns a
-// wrapped ErrNotMetric describing the first violation found.
-func CheckMetric(s Space, tol float64) error {
-	n := s.N()
-	for i := 0; i < n; i++ {
-		if d := s.Dist(i, i); d != 0 {
-			return fmt.Errorf("%w: d(%d,%d)=%v, want 0", ErrNotMetric, i, i, d)
-		}
-		for j := i + 1; j < n; j++ {
-			d := s.Dist(i, j)
-			if d < 0 || math.IsNaN(d) {
-				return fmt.Errorf("%w: d(%d,%d)=%v is negative or NaN", ErrNotMetric, i, j, d)
-			}
-			if r := s.Dist(j, i); r != d {
-				return fmt.Errorf("%w: asymmetric d(%d,%d)=%v vs d(%d,%d)=%v", ErrNotMetric, i, j, d, j, i, r)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dij := s.Dist(i, j)
-			for k := 0; k < n; k++ {
-				if k == i || k == j {
-					continue
-				}
-				via := s.Dist(i, k) + s.Dist(k, j)
-				if dij > via*(1+tol)+tol {
-					return fmt.Errorf("%w: triangle violated d(%d,%d)=%v > d(%d,%d)+d(%d,%d)=%v",
-						ErrNotMetric, i, j, dij, i, k, k, j, via)
-				}
-			}
-		}
-	}
 	return nil
 }

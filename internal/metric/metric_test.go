@@ -1,7 +1,6 @@
 package metric
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -153,7 +152,7 @@ func TestRationalTransform(t *testing.T) {
 	if d.Dist(0, 1) != 2 {
 		t.Errorf("d = %v, want 2", d.Dist(0, 1))
 	}
-	back, err := BandwidthFromDistance(d, 100)
+	back, err := DistanceFromBandwidth(d, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func TestRationalTransformRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := BandwidthFromDistance(d, c)
+		back, err := DistanceFromBandwidth(d, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,69 +292,6 @@ func TestDiameter(t *testing.T) {
 	}
 	if d := Diameter(m, nil); d != 0 {
 		t.Errorf("empty diameter = %v, want 0", d)
-	}
-}
-
-func TestCheckMetricAcceptsTreeMetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		m := randomTreeMetric(4+rng.Intn(8), rng)
-		if err := CheckMetric(m, 1e-9); err != nil {
-			t.Fatalf("tree metric rejected: %v", err)
-		}
-	}
-}
-
-func TestCheckMetricRejectsViolations(t *testing.T) {
-	bad := NewMatrix(3)
-	bad.Set(0, 1, 1)
-	bad.Set(1, 2, 1)
-	bad.Set(0, 2, 10) // violates triangle
-	err := CheckMetric(bad, 1e-9)
-	if !errors.Is(err, ErrNotMetric) {
-		t.Errorf("err = %v, want ErrNotMetric", err)
-	}
-
-	neg := NewMatrix(2)
-	neg.Set(0, 1, -1)
-	if err := CheckMetric(neg, 0); !errors.Is(err, ErrNotMetric) {
-		t.Errorf("negative distance: err = %v, want ErrNotMetric", err)
-	}
-}
-
-// Property: every quartet of an exact tree metric has epsilon 0, so both
-// the sampled and exact averages are 0.
-func TestTreeMetricEpsilonZeroProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		m := randomTreeMetric(5+rng.Intn(6), rng)
-		if eps := AvgEpsilonExact(m); eps > 1e-9 {
-			t.Fatalf("exact tree metric has eps = %v", eps)
-		}
-		eps, err := AvgEpsilon(m, 200, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eps > 1e-9 {
-			t.Fatalf("sampled eps = %v on tree metric", eps)
-		}
-	}
-}
-
-// Property: perturbing a tree metric increases epsilon.
-func TestEpsilonGrowsWithNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	base := randomTreeMetric(12, rng)
-	noisy := base.Clone()
-	for i := 0; i < noisy.N(); i++ {
-		for j := i + 1; j < noisy.N(); j++ {
-			noisy.Set(i, j, noisy.Dist(i, j)*(1+rng.Float64()*0.8))
-		}
-	}
-	e0 := AvgEpsilonExact(base)
-	e1 := AvgEpsilonExact(noisy)
-	if e1 <= e0 {
-		t.Errorf("noise did not raise epsilon: %v <= %v", e1, e0)
 	}
 }
 

@@ -82,35 +82,6 @@ func AvgEpsilon(s Space, samples int, rng *rand.Rand) (float64, error) {
 	return sum / float64(count), nil
 }
 
-// AvgEpsilonExact computes the average quartet epsilon over all C(n,4)
-// quartets. It is O(n^4) and intended for small spaces and tests; callers
-// with larger spaces should use AvgEpsilon.
-func AvgEpsilonExact(s Space) float64 {
-	n := s.N()
-	if n < 4 {
-		return 0
-	}
-	sum, count := 0.0, 0
-	for w := 0; w < n; w++ {
-		for x := w + 1; x < n; x++ {
-			for y := x + 1; y < n; y++ {
-				for z := y + 1; z < n; z++ {
-					eps := QuartetEpsilon(s, w, x, y, z)
-					if math.IsInf(eps, 1) {
-						continue
-					}
-					sum += eps
-					count++
-				}
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}
-
 func sampleDistinct(dst []int, n int, rng *rand.Rand) {
 	for i := range dst {
 	retry:

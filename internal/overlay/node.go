@@ -3,8 +3,6 @@ package overlay
 import (
 	"fmt"
 	"math"
-
-	"bwcluster/internal/cluster"
 )
 
 // NodeResult is the outcome of a decentralized single-node search.
@@ -70,13 +68,4 @@ func (nw *Network) QueryNode(start int, set []int, l float64) (NodeResult, error
 		return NodeResult{Node: -1, Radius: 0, Hops: res.Hops, Answered: cur}, nil
 	}
 	return res, nil
-}
-
-// FindNodeCentral runs the centralized single-node search over the full
-// predicted metric (the reference the decentralized search approximates).
-func (nw *Network) FindNodeCentral(set []int, l float64) (int, float64, error) {
-	if err := nw.dist.checkRows(set); err != nil {
-		return -1, 0, err
-	}
-	return cluster.FindNodeForSet(nw.dist.m, set, l)
 }

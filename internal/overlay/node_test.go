@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bwcluster/internal/cluster"
 )
 
 func TestQueryNodeValidation(t *testing.T) {
@@ -34,7 +36,7 @@ func TestQueryNodeMatchesCentralWithFullKnowledge(t *testing.T) {
 		setSize := 1 + rng.Intn(3)
 		set := append([]int(nil), hosts[:setSize]...)
 		l := []float64{8, 16, 64}[rng.Intn(3)]
-		wantNode, wantRadius, err := nw.FindNodeCentral(set, l)
+		wantNode, wantRadius, err := cluster.FindNodeForSet(nw.dist.m, set, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,32 +88,5 @@ func TestQueryNodeAnswersAreValid(t *testing.T) {
 				t.Fatalf("node %d at %v from member %d (> l=%v)", res.Node, d, m, l)
 			}
 		}
-	}
-}
-
-func TestFindNodeCentralValidation(t *testing.T) {
-	nw, _, _ := buildNetwork(t, 8, 0, Config{NCut: 4, Classes: classSpread()}, 36)
-	if _, _, err := nw.FindNodeCentral([]int{999}, 10); err == nil {
-		t.Error("unknown member should fail")
-	}
-	node, _, err := nw.FindNodeCentral([]int{nw.Hosts()[0]}, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node < 0 {
-		t.Error("loose constraint should find a node")
-	}
-	// A removal shrinks the roster but not the distance snapshot; the
-	// answer must still name the host whose radius was found.
-	set := []int{nw.Hosts()[1]}
-	if err := nw.RemoveHost(nw.Hosts()[0]); err != nil {
-		t.Fatal(err)
-	}
-	node, radius, err := nw.FindNodeCentral(set, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.dist.setRadius(node, set); got != radius {
-		t.Errorf("after removal: node %d has radius %v, reported %v", node, got, radius)
 	}
 }

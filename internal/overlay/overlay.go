@@ -255,6 +255,7 @@ func (nw *Network) RunNodeInfoRound() bool {
 
 // ClusteringSpace returns V_x = {x} ∪ ⋃_v x.aggrNode[v], sorted: the node
 // set peer x can form clusters from.
+// Kept: perfbench's BenchmarkDecentralQuery picks its hub with it.
 func (nw *Network) ClusteringSpace(x int) ([]int, error) {
 	p, ok := nw.peers[x]
 	if !ok {

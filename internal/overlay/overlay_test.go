@@ -494,3 +494,23 @@ func TestClassesCopy(t *testing.T) {
 		t.Error("Hosts aliases internal state")
 	}
 }
+
+// An untraced query answered at its start host allocates its Path and
+// its members and nothing else: no attribute of the nil span is boxed.
+func TestUntracedQueryAllocatesOnlyItsAnswer(t *testing.T) {
+	n := 16
+	nw, _, _ := buildNetwork(t, n, 0.2, Config{NCut: n, Classes: classSpread()}, 32)
+	start, l := nw.Hosts()[0], 64.0
+	res, err := nw.Query(start, 2, l)
+	if err != nil || res.Cluster == nil || res.Hops != 0 {
+		t.Fatalf("Query(%d, 2, %v) = %+v, %v; want an answer at the start host", start, l, res, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := nw.Query(start, 2, l); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("an untraced query allocates %v times, want 2 (its Path and its members)", allocs)
+	}
+}

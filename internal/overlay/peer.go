@@ -68,7 +68,7 @@ func (d *Dist) Between(a, b int) float64 {
 func (d *Dist) Has(h int) bool { return h >= 0 && h < len(d.in) && d.in[h] }
 
 // setRadius returns x's maximum predicted distance to the members of set
-// (the predicted-distance analogue of cluster.SetRadius).
+// (the quantity cluster.FindNodeForSet minimizes).
 func (d *Dist) setRadius(x int, set []int) float64 {
 	worst := 0.0
 	for _, m := range set {

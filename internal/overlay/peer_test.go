@@ -484,11 +484,11 @@ func TestNewNetworkOverSharesSnapshot(t *testing.T) {
 	if _, err := nw.Converge(0); err != nil {
 		t.Fatal(err)
 	}
-	if node, _, err := nw.FindNodeCentral([]int{1}, math.Inf(1)); err != nil || !d.Has(node) {
-		t.Errorf("FindNodeCentral = %d, %v; want a host of the substrate", node, err)
+	if node, _, err := cluster.FindNodeForSet(nw.dist.m, []int{1}, math.Inf(1)); err != nil || !d.Has(node) {
+		t.Errorf("FindNodeForSet = %d, %v; want a host of the substrate", node, err)
 	}
-	if _, _, err := nw.FindNodeCentral([]int{1, 7}, math.Inf(1)); err == nil {
-		t.Error("FindNodeCentral accepted a departed set member")
+	if err := nw.dist.checkRows([]int{1, 7}); err == nil {
+		t.Error("the shared snapshot accepted a departed set member")
 	}
 	small, err := predtree.Build(testutil.NoisyTreeMetric(12, 0.1, rand.New(rand.NewSource(5))), 100, predtree.SearchFull, []int{9, 1})
 	if err != nil {

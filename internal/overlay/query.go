@@ -64,8 +64,9 @@ func (nw *Network) Query(start, k int, l float64) (Result, error) {
 // the peer id, the local CRT promise, the local clustering-space size
 // (when a local attempt runs) and the candidate radius (the snapped
 // diameter class) — the route-level detail the paper's message/hop
-// accounting aggregates away. A nil span makes tracing free: child
-// creation and attribute writes are no-ops on nil receivers.
+// accounting aggregates away. With a nil span the route does no
+// attribute work at all: every write sits behind a nil check, because
+// boxing an attribute value allocates even when the span discards it.
 func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (Result, error) {
 	if _, ok := nw.peers[start]; !ok {
 		return Result{}, fmt.Errorf("overlay: unknown start host %d", start)
@@ -77,9 +78,11 @@ func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (R
 	if err != nil {
 		return Result{}, err
 	}
-	span.SetAttr("k", k)
-	span.SetAttr("classL", classL)
-	span.SetAttr("classIndex", classIdx)
+	if span != nil {
+		span.SetAttr("k", k)
+		span.SetAttr("classL", classL)
+		span.SetAttr("classIndex", classIdx)
+	}
 	res := Result{Class: classL}
 	cur, prev := start, -1
 	// The overlay is a tree, so a query that never returns to its sender
@@ -87,31 +90,42 @@ func (nw *Network) QueryTraced(start, k int, l float64, span *telemetry.Span) (R
 	for hop := 0; hop <= len(nw.hosts); hop++ {
 		res.Path = append(res.Path, cur)
 		hs := span.Child("hop")
-		hs.SetAttr("host", cur)
-		hs.SetAttr("radius", classL)
 		step, err := nw.peers[cur].QueryHop(nw.dist, k, classIdx, classL, prev)
 		if err != nil {
 			return Result{}, err
 		}
-		hs.SetAttr("selfMax", step.SelfMax)
-		if step.Space > 0 {
-			hs.SetAttr("localSpace", step.Space)
+		if hs != nil {
+			traceHop(hs, cur, classL, step)
 		}
 		if step.Next == -1 {
-			hs.SetAttr("answered", true)
-			hs.Finish()
 			res.Cluster = step.Members
 			res.Answered = cur
 			nw.observeQuery(res)
 			return res, nil
 		}
-		hs.SetAttr("forwardTo", step.Next)
-		hs.SetAttr("promise", step.Promise)
-		hs.Finish()
 		prev, cur = cur, step.Next
 		res.Hops++
 	}
 	return res, fmt.Errorf("overlay: query (k=%d, l=%v) exceeded hop bound; inconsistent CRTs", k, l)
+}
+
+// traceHop records one hop of a traced query on its span and finishes
+// it: the peer, the candidate radius, the peer's CRT promise and local
+// clustering-space size, and where the query went next.
+func traceHop(hs *telemetry.Span, host int, radius float64, step Hop) {
+	hs.SetAttr("host", host)
+	hs.SetAttr("radius", radius)
+	hs.SetAttr("selfMax", step.SelfMax)
+	if step.Space > 0 {
+		hs.SetAttr("localSpace", step.Space)
+	}
+	if step.Next == -1 {
+		hs.SetAttr("answered", true)
+	} else {
+		hs.SetAttr("forwardTo", step.Next)
+		hs.SetAttr("promise", step.Promise)
+	}
+	hs.Finish()
 }
 
 // observeQuery records the terminal metrics of one completed query.

@@ -13,6 +13,7 @@ import "fmt"
 //
 // Note Resync re-reads the substrate and therefore resurrects removed
 // hosts; removal is an overlay-level operation for failure scenarios.
+// Kept: the sync fixed point runtime's remove tests compare against.
 func (nw *Network) RemoveHost(h int) error {
 	p, ok := nw.peers[h]
 	if !ok {

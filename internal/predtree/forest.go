@@ -237,6 +237,7 @@ func (f *Forest) PredictBandwidth(u, v int) float64 {
 
 // DistMatrix materializes the median predicted distances for all hosts,
 // indexed like the returned host slice (the primary tree's join order).
+// Kept: perfbench calls it (ROADMAP 1(c)).
 func (f *Forest) DistMatrix() (*metric.Matrix, []int) {
 	hosts := f.Hosts()
 	m := metric.NewMatrix(len(hosts))
@@ -247,6 +248,7 @@ func (f *Forest) DistMatrix() (*metric.Matrix, []int) {
 // Labels returns host h's distance label in every tree of the forest —
 // the complete "coordinate" a host gossips so that any peer can compute
 // median-of-trees distances locally via ForestLabelDist.
+// Kept: ROADMAP items 12(a) and 14 give it callers.
 func (f *Forest) Labels(h int) ([]Label, error) {
 	out := make([]Label, len(f.trees))
 	for i, t := range f.trees {
@@ -262,6 +264,7 @@ func (f *Forest) Labels(h int) ([]Label, error) {
 // ForestLabelDist computes the median-of-trees predicted distance between
 // two hosts from their label sets alone. The label sets must come from
 // the same forest (same length, tree by tree).
+// Kept: ROADMAP items 12(a) and 14 give it callers.
 func ForestLabelDist(a, b []Label) (float64, error) {
 	if len(a) == 0 || len(a) != len(b) {
 		return 0, fmt.Errorf("predtree: label sets must be non-empty and equal length (%d vs %d)",

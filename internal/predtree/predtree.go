@@ -169,6 +169,7 @@ func Build(o Oracle, c float64, mode SearchMode, order []int) (*Tree, error) {
 func (t *Tree) C() float64 { return t.c }
 
 // Root returns the first host added, or -1 for an empty tree.
+// Kept: test seam: remove tests check root promotion.
 func (t *Tree) Root() int { return t.root }
 
 // Len reports the number of hosts in the tree.
@@ -197,6 +198,7 @@ func (t *Tree) Measurements() int { return t.measurements }
 // DistinctMeasurements reports how many distinct host pairs construction
 // measured — the real network cost when hosts cache measurement results
 // (out of n(n-1)/2 possible pairs).
+// Kept: test seam: tests count one tree's measurements.
 func (t *Tree) DistinctMeasurements() int { return t.measuredCount }
 
 // Epoch reports the tree's membership epoch: the number of Add and
@@ -785,6 +787,7 @@ func (t *Tree) AnchorParent(h int) int {
 }
 
 // AnchorChildren returns the hosts anchored at h, in join order.
+// Kept: test seam: remove tests check re-anchoring.
 func (t *Tree) AnchorChildren(h int) []int {
 	var out []int
 	if h < 0 || h >= t.hostCap() {

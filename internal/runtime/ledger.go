@@ -42,6 +42,7 @@ func (rt *Runtime) SetLedger(l *bwledger.Ledger) {
 }
 
 // Ledger returns the attached bandwidth ledger, nil before SetLedger.
+// Kept: test seam: ledger tests read the attached ledger.
 func (rt *Runtime) Ledger() *bwledger.Ledger { return rt.ledgerState.ledger.Load() }
 
 // Transport returns the transport the runtime moves messages over (the

@@ -58,11 +58,6 @@ type Runtime struct {
 	table   atomic.Pointer[overlay.Dist]
 	version atomic.Int64 // bumped on every peer state change
 
-	// Traffic counters (delivered messages by kind).
-	nodeInfoMsgs atomic.Int64
-	crtMsgs      atomic.Int64
-	queryMsgs    atomic.Int64
-
 	// Pending query replies, keyed by the query id minted at submission.
 	// Answers arrive as routed messages (transport.KindResult and
 	// KindNodeResult) at the origin peer, which resolves them here;
@@ -128,11 +123,6 @@ type pendingNode struct {
 	ch     chan nodeOutcome
 	origin int    // start host the answer is routed to
 	born   uint64 // monitor tick at submission
-}
-
-// Traffic reports how many messages of each kind have been delivered.
-func (rt *Runtime) Traffic() (nodeInfo, crt, queries int64) {
-	return rt.nodeInfoMsgs.Load(), rt.crtMsgs.Load(), rt.queryMsgs.Load()
 }
 
 type peer struct {
@@ -368,7 +358,6 @@ func (p *peer) handle(m transport.Message) {
 	mMessages.Inc(m.Kind.String())
 	switch m.Kind {
 	case transport.KindNodeInfo:
-		p.rt.nodeInfoMsgs.Add(1)
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
 		p.heardLocked(m.From, now)
@@ -377,7 +366,6 @@ func (p *peer) handle(m transport.Message) {
 		}
 		p.mu.Unlock()
 	case transport.KindCRT:
-		p.rt.crtMsgs.Add(1)
 		now := p.rt.ticks.Load()
 		p.mu.Lock()
 		p.heardLocked(m.From, now)
@@ -387,12 +375,10 @@ func (p *peer) handle(m transport.Message) {
 		p.mu.Unlock()
 	case transport.KindQuery:
 		if m.Query != nil {
-			p.rt.queryMsgs.Add(1)
 			p.handleQuery(m.Query, p.beginHop(m))
 		}
 	case transport.KindNodeQuery:
 		if m.NodeQuery != nil {
-			p.rt.queryMsgs.Add(1)
 			p.handleNodeQuery(m.NodeQuery, p.beginHop(m))
 		}
 	case transport.KindResult:
@@ -479,6 +465,7 @@ func (rt *Runtime) CRT(x, m int) []int {
 func (rt *Runtime) SelfCRT(x int) []int { return rt.view(x, (*overlay.Peer).SelfCRT) }
 
 // Neighbors returns peer x's overlay neighbors.
+// Kept: test seam: churn tests read a peer's overlay links.
 func (rt *Runtime) Neighbors(x int) []int { return rt.view(x, (*overlay.Peer).Neighbors) }
 
 // view reads peer x's protocol state through f under the peer's lock,

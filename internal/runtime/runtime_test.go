@@ -487,6 +487,10 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestTrafficCounters(t *testing.T) {
+	traffic := func() (nodeInfo, crt, queries uint64) {
+		return mMessages.Value("nodeinfo"), mMessages.Value("crt"), mMessages.Value("query")
+	}
+	ni0, crt0, q0 := traffic()
 	tree, _ := buildTree(t, 8, 0, 75)
 	rt, err := New(tree, testConfig(), testTick)
 	if err != nil {
@@ -497,17 +501,17 @@ func TestTrafficCounters(t *testing.T) {
 	if err := rt.Settle(settleQuiet, settleMax); err != nil {
 		t.Fatal(err)
 	}
-	ni, crt, q := rt.Traffic()
-	if ni <= 0 || crt <= 0 {
-		t.Errorf("no gossip traffic recorded: nodeInfo=%d crt=%d", ni, crt)
+	ni, crt, q := traffic()
+	if ni <= ni0 || crt <= crt0 {
+		t.Errorf("no gossip traffic recorded: nodeInfo=%d crt=%d", ni-ni0, crt-crt0)
 	}
-	if q != 0 {
-		t.Errorf("query traffic before any query: %d", q)
+	if q != q0 {
+		t.Errorf("query traffic before any query: %d", q-q0)
 	}
 	if _, err := rt.Query(rt.Hosts()[0], 3, 64, queryWait); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, q := rt.Traffic(); q <= 0 {
+	if _, _, after := traffic(); after <= q {
 		t.Error("query traffic not recorded")
 	}
 }

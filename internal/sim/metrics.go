@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"bwcluster/internal/metric"
@@ -64,9 +63,6 @@ func (a *RateAccumulator) Value() float64 {
 	return float64(a.hits) / float64(a.total)
 }
 
-// Count reports the number of trials.
-func (a *RateAccumulator) Count() int { return a.total }
-
 // RelativeErrors computes |BW - BWpred| / BW for every pair, where the
 // predicted bandwidth comes from predictor. This feeds the Fig. 3 CDFs.
 func RelativeErrors(bw *metric.Matrix, predictor func(u, v int) float64) []float64 {
@@ -101,14 +97,4 @@ func DownsampleCDF(points []stats.CDFPoint, maxPoints int) []stats.CDFPoint {
 	}
 	out[len(out)-1] = points[len(points)-1]
 	return out
-}
-
-// ErrCDF builds the empirical CDF of relative prediction errors.
-func ErrCDF(bw *metric.Matrix, predictor func(u, v int) float64, maxPoints int) ([]stats.CDFPoint, error) {
-	errsList := RelativeErrors(bw, predictor)
-	points, err := stats.CDF(errsList)
-	if err != nil {
-		return nil, fmt.Errorf("sim: error cdf: %w", err)
-	}
-	return DownsampleCDF(points, maxPoints), nil
 }

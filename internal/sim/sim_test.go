@@ -120,8 +120,8 @@ func TestWrongPairsAndAccumulators(t *testing.T) {
 	}
 	rate.Add(true)
 	rate.Add(false)
-	if rate.Count() != 2 || rate.Value() != 0.5 {
-		t.Errorf("rate = %v over %d", rate.Value(), rate.Count())
+	if rate.total != 2 || rate.Value() != 0.5 {
+		t.Errorf("rate = %v over %d", rate.Value(), rate.total)
 	}
 }
 
@@ -140,10 +140,11 @@ func TestRelativeErrorsPerfectPredictor(t *testing.T) {
 
 func TestDownsampleCDF(t *testing.T) {
 	bw := smallBW(t, 20)
-	cdf, err := ErrCDF(bw, func(u, v int) float64 { return bw.At(u, v) * 1.1 }, 10)
+	points, err := stats.CDF(RelativeErrors(bw, func(u, v int) float64 { return bw.At(u, v) * 1.1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cdf := DownsampleCDF(points, 10)
 	if len(cdf) > 10 {
 		t.Errorf("cdf has %d points, want <= 10", len(cdf))
 	}

@@ -29,20 +29,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the largest element of xs.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -199,46 +185,6 @@ func FractionIn(xs []float64, lo, hi float64) (float64, error) {
 		}
 	}
 	return float64(count) / float64(len(xs)), nil
-}
-
-// HistogramBin is one bin of a fixed-width histogram over [Lo, Hi).
-type HistogramBin struct {
-	Lo    float64
-	Hi    float64
-	Count int
-}
-
-// Histogram buckets xs into n equal-width bins spanning [min, max]. Values
-// equal to max land in the last bin.
-func Histogram(xs []float64, n int) ([]HistogramBin, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs n > 0, got %d", n)
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	bins := make([]HistogramBin, n)
-	width := (hi - lo) / float64(n)
-	if width == 0 {
-		width = 1 // all samples identical: everything in bin 0
-	}
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = lo + float64(i+1)*width
-	}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		bins[idx].Count++
-	}
-	return bins, nil
 }
 
 // MeanInt is a convenience wrapper around Mean for integer samples.

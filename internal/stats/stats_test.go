@@ -38,9 +38,6 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Mean(nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Min(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
 	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
 	}
@@ -52,9 +49,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if _, err := CDFAt(nil, 1); !errors.Is(err, ErrEmpty) {
 		t.Errorf("CDFAt(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Histogram(nil, 4); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Histogram(nil) err = %v, want ErrEmpty", err)
 	}
 	if _, err := MeanInt(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("MeanInt(nil) err = %v, want ErrEmpty", err)
@@ -313,42 +307,6 @@ func TestFractionIn(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	bins, err := Histogram(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 2 {
-		t.Fatalf("got %d bins, want 2", len(bins))
-	}
-	// 0..4 in bin 0 (width 5), 5..10 in bin 1 (10 lands in last bin).
-	if bins[0].Count != 5 || bins[1].Count != 6 {
-		t.Errorf("counts = %d,%d, want 5,6", bins[0].Count, bins[1].Count)
-	}
-	total := bins[0].Count + bins[1].Count
-	if total != len(xs) {
-		t.Errorf("histogram lost samples: %d != %d", total, len(xs))
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	bins, err := Histogram([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Errorf("identical-sample histogram lost samples: %d", total)
-	}
-	if _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("n=0 should fail")
-	}
-}
-
 func TestMeanInt(t *testing.T) {
 	got, err := MeanInt([]int{1, 2, 3, 4})
 	if err != nil {
@@ -401,7 +359,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 100
 		}
-		lo, _ := Min(xs)
+		lo := slices.Min(xs)
 		hi, _ := Max(xs)
 		p0, _ := Percentile(xs, 0)
 		p100, _ := Percentile(xs, 100)
@@ -425,7 +383,7 @@ func TestMeanBoundsProperty(t *testing.T) {
 			xs[i] = rng.Float64()*200 - 100
 		}
 		m, _ := Mean(xs)
-		lo, _ := Min(xs)
+		lo := slices.Min(xs)
 		hi, _ := Max(xs)
 		if m < lo-1e-9 || m > hi+1e-9 {
 			t.Fatalf("mean %v outside [%v,%v]", m, lo, hi)
@@ -454,29 +412,6 @@ func TestCDFConsistencyProperty(t *testing.T) {
 			if math.Abs(f-p.F) > 1e-12 {
 				t.Fatalf("CDFAt(%v)=%v, CDF point F=%v", p.X, f, p.F)
 			}
-		}
-	}
-}
-
-func TestHistogramPreservesCountProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1000
-		}
-		nbins := 1 + rng.Intn(20)
-		bins, err := Histogram(xs, nbins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, b := range bins {
-			total += b.Count
-		}
-		if total != n {
-			t.Fatalf("histogram total %d != %d", total, n)
 		}
 	}
 }

@@ -77,6 +77,7 @@ func FlightDefault() *FlightRecorder { return flightStd }
 
 // SetClock replaces the recorder's timestamp source (tests inject a
 // deterministic clock). The function must be safe for concurrent use.
+// Kept: test seam: tests drive the recorder's clock.
 func (r *FlightRecorder) SetClock(clock func() int64) {
 	if r == nil || clock == nil {
 		return
@@ -90,6 +91,7 @@ func (r *FlightRecorder) SetClock(clock func() int64) {
 // anomaly event and a snapshot of the ring at that moment — the
 // automatic black-box dump. The hook runs synchronously on the caller's
 // goroutine (anomalies are rare by definition); a nil fn removes it.
+// Kept: test seam: tests observe anomaly snapshots.
 func (r *FlightRecorder) SetAnomalyHook(fn func(anomaly FlightEvent, snapshot []FlightEvent)) {
 	if r == nil {
 		return

@@ -226,23 +226,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// BucketCounts returns the cumulative per-bucket counts, one entry per
-// bound plus the final +Inf bucket.
-func (h *Histogram) BucketCounts() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		out[i] = cum
-	}
-	return out
-}
 
 func (h *Histogram) metricName() string { return h.name }
 
@@ -394,18 +379,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n strictly ascending bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

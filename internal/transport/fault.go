@@ -129,6 +129,7 @@ func NewFault(inner Transport, cfg FaultConfig) (*FaultTransport, error) {
 // DecisionAt returns the i-th slot of the fault schedule. The schedule
 // is generated lazily but never changes: it is a pure function of the
 // seed, which the determinism regression test asserts.
+// Kept: test seam: tests read the seeded fault schedule.
 func (t *FaultTransport) DecisionAt(i int) Decision {
 	t.mu.Lock()
 	defer t.mu.Unlock()

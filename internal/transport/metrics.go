@@ -26,16 +26,12 @@ var (
 		"TCP dial attempts made after a connection was lost or refused (exponential backoff with jitter between attempts).")
 )
 
-// DeliveredCount returns the process-wide delivered-message counter for
-// one kind label (the bwc_transport_delivered_total family), and
-// DeliveredTotal the sum over every wire kind. The bandwidth ledger
-// records at exactly the delivery sites that increment this family, so
-// for a single-transport process the ledger's cumulative message total
-// reconciles with the counter delta around a run — the simulation
-// harness asserts that equality.
-func DeliveredCount(kind string) uint64 { return mDelivered.Value(kind) }
-
-// DeliveredTotal sums DeliveredCount over every message kind.
+// DeliveredTotal returns the process-wide delivered-message count (the
+// bwc_transport_delivered_total family), summed over every wire kind.
+// The bandwidth ledger records at exactly the delivery sites that
+// increment this family, so for a single-transport process the ledger's
+// cumulative message total reconciles with the counter delta around a
+// run — the simulation harness asserts that equality.
 func DeliveredTotal() uint64 {
 	var sum uint64
 	for k := KindNodeInfo; k <= KindSnapshot; k++ {

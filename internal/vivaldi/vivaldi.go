@@ -85,6 +85,7 @@ func (e *Embedding) Dist(i, j int) float64 { return e.coords[i].Dist(e.coords[j]
 func (e *Embedding) Coord(i int) Point { return e.coords[i] }
 
 // Points returns a copy of all coordinates.
+// Kept: pending: only its own copy test calls it.
 func (e *Embedding) Points() []Point {
 	out := make([]Point, len(e.coords))
 	copy(out, e.coords)

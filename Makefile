@@ -27,7 +27,7 @@ fmt:
 # hygiene — DESIGN.md §8d) plus the interprocedural lockorder, goroleak
 # and protostate checks over the shared whole-program function index
 # (§8i). Formatting rides along so `make lint` is the complete style
-# gate. CI budgets the run at 3 minutes wall-clock (lint-timing step).
+# gate. CI budgets the run at 60 seconds wall-clock (lint-timing step).
 lint: fmt
 	$(GO) run ./cmd/bwc-vet ./...
 

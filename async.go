@@ -121,8 +121,7 @@ func (a *AsyncRuntime) Bandwidth() bwledger.Snapshot { return a.ledger.Snapshot(
 // waiting up to timeout for the routed answer. Semantics match
 // System.Query once the runtime has settled.
 func (a *AsyncRuntime) Query(start, k int, minBandwidth float64, timeout time.Duration) (QueryResult, error) {
-	res, _, err := a.query(start, k, minBandwidth, timeout, nil)
-	return res, err
+	return a.query(start, k, minBandwidth, timeout, nil)
 }
 
 // QueryTraced is Query with distributed tracing: the query carries a
@@ -136,7 +135,7 @@ func (a *AsyncRuntime) QueryTraced(start, k int, minBandwidth float64, timeout t
 	span.SetAttr("minBandwidthMbps", minBandwidth)
 	span.SetAttr("async", true)
 	defer span.Finish()
-	res, _, err := a.query(start, k, minBandwidth, timeout, span)
+	res, err := a.query(start, k, minBandwidth, timeout, span)
 	if err != nil {
 		return res, span, err
 	}
@@ -148,25 +147,25 @@ func (a *AsyncRuntime) QueryTraced(start, k int, minBandwidth float64, timeout t
 
 // query converts bandwidth to distance, runs the runtime query and
 // converts the answer back to the facade's types.
-func (a *AsyncRuntime) query(start, k int, minBandwidth float64, timeout time.Duration, span *telemetry.Span) (QueryResult, *telemetry.Span, error) {
+func (a *AsyncRuntime) query(start, k int, minBandwidth float64, timeout time.Duration, span *telemetry.Span) (QueryResult, error) {
 	if err := a.sys.checkHost(start); err != nil {
-		return QueryResult{}, span, err
+		return QueryResult{}, err
 	}
 	l, err := metric.DistanceForBandwidthConstraint(minBandwidth, a.sys.c)
 	if err != nil {
-		return QueryResult{}, span, fmt.Errorf("bwcluster: %w", err)
+		return QueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
 	t0 := time.Now()
 	res, err := a.rt.QueryTraced(start, k, l, timeout, span)
 	mQuerySeconds.Observe(time.Since(t0).Seconds())
 	if err != nil {
-		return QueryResult{}, span, fmt.Errorf("bwcluster: %w", err)
+		return QueryResult{}, fmt.Errorf("bwcluster: %w", err)
 	}
 	out := QueryResult{Members: res.Cluster, Hops: res.Hops, AnsweredBy: res.Answered}
 	if res.Class > 0 {
 		out.Class = a.sys.c / res.Class
 	}
-	return out, span, nil
+	return out, nil
 }
 
 // QueryNode routes the decentralized single-node search through the

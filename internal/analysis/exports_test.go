@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,24 +29,26 @@ var keptExports = map[string]string{
 	"overlay.Network.RemoveHost":              "reference: the sync fixed point runtime's remove tests compare against",
 	"predtree.Forest.Labels":                  "ROADMAP items 12(a) and 14 give it callers",
 	"predtree.ForestLabelDist":                "ROADMAP items 12(a) and 14 give it callers",
+	"predtree.Label.Entries":                  "ROADMAP items 12(a) and 14 give labels callers",
 	"predtree.Tree.AnchorChildren":            "test seam: remove tests check re-anchoring",
 	"predtree.Tree.DistinctMeasurements":      "test seam: tests count one tree's measurements",
 	"predtree.Tree.Root":                      "test seam: remove tests check root promotion",
 	"runtime.Runtime.Ledger":                  "test seam: ledger tests read the attached ledger",
 	"runtime.Runtime.Neighbors":               "test seam: churn tests read a peer's overlay links",
+	"telemetry.Counter.Value":                 "test seam: counter tests read the count without the exposition",
 	"telemetry.FlightRecorder.SetAnomalyHook": "test seam: tests observe anomaly snapshots",
 	"telemetry.FlightRecorder.SetClock":       "test seam: tests drive the recorder's clock",
 	"telemetry.Span.Attrs":                    "test seam: trace tests read a span's attributes",
 	"transport.FaultTransport.DecisionAt":     "test seam: tests read the seeded fault schedule",
-	"vivaldi.Embedding.Points":                "pending: only its own copy test calls it",
 }
 
 // TestNoTestOnlyExports fails on any exported function or method under
 // internal/ that no non-test code references. A method that implements
-// an interface counts as used, and so does any name perfbench (its own
-// module, which calls into internal/) selects. A test-only export is
-// either a test oracle, which belongs in a _test.go file or testutil
-// (exempt, since all of it serves tests), or dead.
+// an interface counts as used, and so does a name perfbench (its own
+// module, which calls into internal/) selects in a file that imports
+// the name's package. A test-only export is either a test oracle, which
+// belongs in a _test.go file or testutil (exempt, since all of it
+// serves tests), or dead.
 func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -73,7 +76,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				continue
 			}
 			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || used[fn] || perf[fd.Name.Name] {
+			if !ok || used[fn] || perf[pkg.Path+"."+fd.Name.Name] {
 				continue
 			}
 			name := pkg.Types.Name() + "." + fd.Name.Name
@@ -152,16 +155,19 @@ func recvName(t types.Type) string {
 	return t.String()
 }
 
-// perfbenchSelectors returns every selector name in perfbench's Go
-// files. perfbench is a module of its own that calls into internal/, so
-// a name it selects must keep its signature (make bench-module).
+// perfbenchSelectors returns "importpath.Name" for every package a
+// perfbench Go file imports and every name that file selects. perfbench
+// is a module of its own that calls into internal/, so a name it
+// selects must keep its signature (make bench-module). The pairing is
+// by file, not by type: a method selected on a value counts for every
+// package the file imports.
 func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make(map[string]bool)
+	keys := make(map[string]bool)
 	fset := token.NewFileSet()
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), ".go") {
@@ -171,12 +177,22 @@ func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
+		names := make(map[string]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
 				names[sel.Sel.Name] = true
 			}
 			return true
 		})
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name := range names {
+				keys[path+"."+name] = true
+			}
+		}
 	}
-	return names
+	return keys
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"path"
 	"sort"
 	"strings"
 )
@@ -128,12 +129,16 @@ func checkKindSwitches(p *Pass) {
 
 // isDedicatedFrameField reports whether the field rides only on a
 // dedicated frame tag and is therefore exempt from lean-frame parity:
-// its type names a Trace struct (TraceContext, TraceEvent — frameTraced)
-// or the Snapshot chunk struct (frameSnapshot).
+// its type names a Trace struct (TraceContext — frameTraced), is a
+// telemetry type (the SpanEvent hop report — frameTraced), or names the
+// Snapshot chunk struct (frameSnapshot).
 func isDedicatedFrameField(t types.Type) bool {
 	named, ok := derefType(t).(*types.Named)
 	if !ok {
 		return false
+	}
+	if pkg := named.Obj().Pkg(); pkg != nil && path.Base(pkg.Path()) == "telemetry" {
+		return true
 	}
 	name := named.Obj().Name()
 	return strings.Contains(name, "Trace") || strings.Contains(name, "Snapshot")

@@ -3,6 +3,8 @@
 // and wireMessage, and clone completeness over reference fields.
 package protostate
 
+import "bwcluster/internal/telemetry"
+
 type kind uint8
 
 const (
@@ -49,13 +51,15 @@ type payload struct{ Body []byte }
 // TraceContext rides only on traced frames; parity exempts it.
 type TraceContext struct{ ID uint64 }
 
-// Message is the fixture's protocol envelope.
+// Message is the fixture's protocol envelope. Event, a telemetry type,
+// rides only on traced frames too; parity exempts it.
 type Message struct {
 	Kind  kind
 	From  int
 	Data  *payload
 	Acks  []int
 	Trace *TraceContext
+	Event *telemetry.SpanEvent
 }
 
 // wireMessage drops Acks: a payload field that would vanish on every
@@ -73,6 +77,10 @@ func (m Message) clone() Message { // want `does not copy reference field`
 	if m.Trace != nil {
 		tc := *m.Trace
 		c.Trace = &tc
+	}
+	if m.Event != nil {
+		ev := *m.Event
+		c.Event = &ev
 	}
 	return c
 }

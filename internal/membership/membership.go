@@ -294,14 +294,6 @@ func (tk *Tracker) Status(h int) Status {
 	return tk.status[h]
 }
 
-// Epoch reports the membership generation: the count of joins, leaves,
-// and fails so far. Suspicion and recovery do not move it.
-func (tk *Tracker) Epoch() uint64 {
-	tk.mu.Lock()
-	defer tk.mu.Unlock()
-	return tk.epoch
-}
-
 // Events appends the ring's events, oldest first, to buf and returns it.
 // Kept: test seam: tests read the event ring.
 func (tk *Tracker) Events(buf []Event) []Event {

@@ -41,7 +41,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tk.Epoch(); got != 3 {
+	if got := tk.Snapshot().Epoch; got != 3 {
 		t.Fatalf("epoch after joins = %d, want 3", got)
 	}
 	if got := present(tk); got != 3 {
@@ -51,7 +51,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if err := tk.NoteJoin(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := tk.Epoch(); got != 3 {
+	if got := tk.Snapshot().Epoch; got != 3 {
 		t.Fatalf("epoch after duplicate join = %d, want 3", got)
 	}
 
@@ -63,7 +63,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got := tk.Status(5); got != StatusSuspect {
 		t.Fatalf("status(5) = %v, want suspect", got)
 	}
-	if got := tk.Epoch(); got != 3 {
+	if got := tk.Snapshot().Epoch; got != 3 {
 		t.Fatalf("suspicion moved the epoch to %d", got)
 	}
 	if got := present(tk); got != 3 {
@@ -85,7 +85,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got := tk.Status(5); got != StatusDead {
 		t.Fatalf("status(5) = %v, want dead", got)
 	}
-	if got := tk.Epoch(); got != 4 {
+	if got := tk.Snapshot().Epoch; got != 4 {
 		t.Fatalf("epoch after death = %d, want 4", got)
 	}
 	if got := present(tk); got != 2 {
@@ -99,7 +99,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if err := tk.NoteLeave(1, 81); err == nil {
 		t.Error("double leave should fail")
 	}
-	if got := tk.Epoch(); got != 5 {
+	if got := tk.Snapshot().Epoch; got != 5 {
 		t.Fatalf("epoch after leave = %d, want 5", got)
 	}
 
@@ -110,7 +110,7 @@ func TestChurnLifecycleTransitions(t *testing.T) {
 	if got, want := tk.Status(5), StatusAlive; got != want {
 		t.Fatalf("status(5) after rejoin = %v, want %v", got, want)
 	}
-	if got := tk.Epoch(); got != 6 {
+	if got := tk.Snapshot().Epoch; got != 6 {
 		t.Fatalf("epoch after rejoin = %d, want 6", got)
 	}
 
@@ -144,7 +144,7 @@ func TestChurnNoteFailBypassesSuspicion(t *testing.T) {
 	if got := tk.Status(3); got != StatusDead {
 		t.Fatalf("status = %v, want dead", got)
 	}
-	if got := tk.Epoch(); got != 2 {
+	if got := tk.Snapshot().Epoch; got != 2 {
 		t.Fatalf("epoch = %d, want 2", got)
 	}
 	// Dead hosts are ignored by Observe: no resurrection by fresh age.

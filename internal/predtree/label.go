@@ -36,6 +36,7 @@ func (l Label) Host() int {
 func (l Label) Len() int { return len(l.entries) }
 
 // Entries returns a copy of the label's entries, root first.
+// Kept: ROADMAP items 12(a) and 14 give labels callers.
 func (l Label) Entries() []LabelEntry {
 	out := make([]LabelEntry, len(l.entries))
 	copy(out, l.entries)

@@ -51,7 +51,7 @@ func TestChurnAutoEvictsDeadHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch0 := tk.Epoch()
+	epoch0 := tk.Snapshot().Epoch
 	if epoch0 != 8 {
 		t.Fatalf("epoch after attach = %d, want 8 (one join per host)", epoch0)
 	}
@@ -82,7 +82,7 @@ func TestChurnAutoEvictsDeadHost(t *testing.T) {
 	if got := tk.Status(victim); got != membership.StatusSuspect {
 		t.Fatalf("status at age 70 = %v, want suspect", got)
 	}
-	if got := tk.Epoch(); got != epoch0 {
+	if got := tk.Snapshot().Epoch; got != epoch0 {
 		t.Fatalf("suspicion moved the epoch to %d", got)
 	}
 	if got := len(rt.Hosts()); got != 8 {
@@ -111,11 +111,11 @@ func TestChurnAutoEvictsDeadHost(t *testing.T) {
 	if tree.Contains(victim) {
 		t.Fatal("auto-evict did not repair the prediction tree")
 	}
-	if got := tk.Epoch(); got != epoch0+1 {
+	if got := tk.Snapshot().Epoch; got != epoch0+1 {
 		t.Fatalf("epoch after death = %d, want %d", got, epoch0+1)
 	}
-	if tree.Epoch() != tk.Epoch() {
-		t.Fatalf("tree epoch %d != tracker epoch %d after eviction", tree.Epoch(), tk.Epoch())
+	if tree.Epoch() != tk.Snapshot().Epoch {
+		t.Fatalf("tree epoch %d != tracker epoch %d after eviction", tree.Epoch(), tk.Snapshot().Epoch)
 	}
 
 	// The pre-churn index is now stale and says so.
@@ -184,7 +184,7 @@ func TestChurnPartitionSuspectThenHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch0 := tk.Epoch()
+	epoch0 := tk.Snapshot().Epoch
 	rt.Start()
 	defer func() {
 		rt.Stop()
@@ -208,7 +208,7 @@ func TestChurnPartitionSuspectThenHeal(t *testing.T) {
 	waitFor("victim recovery after heal", func() bool {
 		return tk.Status(victim) == membership.StatusAlive
 	})
-	if got := tk.Epoch(); got != epoch0 {
+	if got := tk.Snapshot().Epoch; got != epoch0 {
 		t.Fatalf("partition moved the membership epoch %d -> %d", epoch0, got)
 	}
 	if got := len(rt.Hosts()); got != 6 {
@@ -292,9 +292,9 @@ func TestChurnSoakFixedPoint(t *testing.T) {
 				t.Fatalf("evict %d: %v", operation.host, err)
 			}
 		}
-		if tree.Epoch() != tk.Epoch() {
+		if tree.Epoch() != tk.Snapshot().Epoch {
 			t.Fatalf("after %s %d: tree epoch %d != tracker epoch %d",
-				operation.kind, operation.host, tree.Epoch(), tk.Epoch())
+				operation.kind, operation.host, tree.Epoch(), tk.Snapshot().Epoch)
 		}
 	}
 	if err := rt.Settle(faultSettleQuiet, settleMax); err != nil {
@@ -329,7 +329,7 @@ func TestChurnSoakFixedPoint(t *testing.T) {
 	// The pre-churn membership epoch no longer matches: an index tagged
 	// with it refuses to answer.
 	distM, _ := tree.DistMatrix()
-	ix, err := cluster.NewIndexParallelAt(distM, 1, tk.Epoch()-1)
+	ix, err := cluster.NewIndexParallelAt(distM, 1, tk.Snapshot().Epoch-1)
 	if err != nil {
 		t.Fatal(err)
 	}

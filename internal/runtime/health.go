@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
+
+	"bwcluster/internal/transport"
 )
 
 // Overlay health monitoring. The runtime keeps a logical tick counter —
@@ -68,13 +71,13 @@ func (rt *Runtime) Converged() bool { return rt.converged.Load() }
 func (rt *Runtime) pendingReplies() int {
 	rt.pendMu.Lock()
 	defer rt.pendMu.Unlock()
-	return len(rt.pendCluster) + len(rt.pendNode)
+	return len(rt.pend)
 }
 
 // updatePendingGaugeLocked mirrors the table population into the
 // exposition gauge. Caller holds pendMu.
 func (rt *Runtime) updatePendingGaugeLocked() {
-	mPendingReplies.Set(float64(len(rt.pendCluster) + len(rt.pendNode)))
+	mPendingReplies.Set(float64(len(rt.pend)))
 }
 
 // maxGossipAge returns the worst ticks-since-last-gossip over every
@@ -126,31 +129,25 @@ func (rt *Runtime) monitor() {
 // logical time now. A swept entry is a leak — the submitting caller
 // should have dropped it on its own timeout — so each one fires an
 // anomaly with the query id. Deterministic: pure function of the
-// tables, now, and the TTL.
+// table, now, and the TTL.
 func (rt *Runtime) sweepPendingAt(now uint64) {
-	type leak struct {
-		id   uint64
-		kind string
-	}
-	var leaks []leak
+	var leaks []string
 	rt.pendMu.Lock()
-	for id, e := range rt.pendCluster {
+	for id, e := range rt.pend {
 		if now-e.born > pendTTLTicks {
-			delete(rt.pendCluster, id)
-			leaks = append(leaks, leak{id, "cluster"})
-		}
-	}
-	for id, e := range rt.pendNode {
-		if now-e.born > pendTTLTicks {
-			delete(rt.pendNode, id)
-			leaks = append(leaks, leak{id, "node"})
+			delete(rt.pend, id)
+			family := "cluster"
+			if e.answer == transport.KindNodeResult {
+				family = "node"
+			}
+			leaks = append(leaks, family+" query id="+strconv.FormatUint(id, 10)+" swept")
 		}
 	}
 	rt.updatePendingGaugeLocked()
 	rt.pendMu.Unlock()
-	for _, l := range leaks {
+	for _, detail := range leaks {
 		mPendSwept.Inc()
-		rt.fl().Anomaly(anomalyPendLeak, -1, -1, l.kind+" query id="+itoa(int(l.id))+" swept")
+		rt.fl().Anomaly(anomalyPendLeak, -1, -1, detail)
 	}
 }
 
@@ -175,7 +172,7 @@ func (rt *Runtime) refreshHealthAt(now uint64) {
 	mGossipAge.Set(float64(age))
 	stale := age >= staleTicks
 	if stale && !rt.monStale.Swap(true) {
-		rt.fl().Record(flightStale, -1, -1, "max gossip age "+itoa(int(age))+" ticks")
+		rt.fl().Record(flightStale, -1, -1, "max gossip age "+strconv.FormatUint(age, 10)+" ticks")
 	} else if !stale {
 		rt.monStale.Store(false)
 	}

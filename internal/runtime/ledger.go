@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"bwcluster/internal/bwledger"
-	"bwcluster/internal/transport"
 )
 
 // Bandwidth-ledger wiring. The runtime owns neither the ledger nor the
@@ -44,11 +43,6 @@ func (rt *Runtime) SetLedger(l *bwledger.Ledger) {
 // Ledger returns the attached bandwidth ledger, nil before SetLedger.
 // Kept: test seam: ledger tests read the attached ledger.
 func (rt *Runtime) Ledger() *bwledger.Ledger { return rt.ledgerState.ledger.Load() }
-
-// Transport returns the transport the runtime moves messages over (the
-// runtime-owned ChanTransport under New, the caller's transport under
-// NewWithTransport).
-func (rt *Runtime) Transport() transport.Transport { return rt.tr }
 
 // rollLedgerAt closes the ledger's open window when logical time now
 // lands on a window boundary. Deterministic: a pure function of now,

@@ -39,68 +39,14 @@ func (rt *Runtime) QueryTraced(start, k int, l float64, timeout time.Duration, s
 		return overlay.Result{}, err
 	}
 	id := rt.qid.Add(1)
-	reply := make(chan clusterOutcome, replyCapacity)
-	rt.pendMu.Lock()
-	rt.pendCluster[id] = pendingCluster{ch: reply, origin: start, born: rt.ticks.Load()}
-	rt.updatePendingGaugeLocked()
-	rt.pendMu.Unlock()
-	var tc *transport.TraceContext
-	var rootSpanID uint64
-	if span != nil {
-		rootSpanID = rt.mintSpanID(start)
-		tc = &transport.TraceContext{TraceID: id, ParentSpan: rootSpanID, Origin: start, SentUnixNano: traceNow()}
-	}
 	q := &transport.Query{ID: id, Origin: start, K: k, ClassIdx: classIdx, ClassL: classL, Prev: -1}
-	if err := rt.tr.Send(transport.Message{Kind: transport.KindQuery, From: -1, To: start, Query: q, Trace: tc}); err != nil {
-		rt.dropPendingCluster(id)
-		return overlay.Result{}, fmt.Errorf("runtime: start peer %d did not accept the query: %w", start, err)
+	m, err := rt.request(transport.Message{Kind: transport.KindQuery, From: -1, To: start, Query: q}, id, span, timeout)
+	if err != nil {
+		return overlay.Result{}, err
 	}
-	select {
-	case out := <-reply:
-		if out.err != nil {
-			rt.collector.Take(id)
-			return overlay.Result{}, out.err
-		}
-		res := out.res
-		mRuntimeQueryHops.Observe(float64(res.Hops))
-		if span != nil {
-			rt.gatherTrace(span, rootSpanID, id, res.Hops)
-		}
-		return res, nil
-	case <-time.After(timeout):
-		rt.dropPendingCluster(id)
-		rt.collector.Take(id)
-		rt.fl().Anomaly(anomalyQueryTO, start, -1, fmt.Sprintf("cluster query k=%d l=%v after %v", k, l, timeout))
-		return overlay.Result{}, fmt.Errorf("runtime: query (k=%d, l=%v) timed out after %v", k, l, timeout)
-	}
-}
-
-// dropPendingCluster abandons a pending cluster reply; a late answer
-// then finds no entry and is discarded.
-func (rt *Runtime) dropPendingCluster(id uint64) {
-	rt.pendMu.Lock()
-	defer rt.pendMu.Unlock()
-	delete(rt.pendCluster, id)
-	rt.updatePendingGaugeLocked()
-}
-
-// resolveCluster completes the pending query a routed result answers.
-// The reply channel is buffered and the entry is removed on first
-// resolution, so duplicated result deliveries (fault injection, at-least
-// -once callers) are idempotently ignored and never block a peer loop.
-func (rt *Runtime) resolveCluster(r *transport.Result) {
-	if r == nil {
-		return
-	}
-	rt.pendMu.Lock()
-	e, ok := rt.pendCluster[r.ID]
-	delete(rt.pendCluster, r.ID)
-	rt.updatePendingGaugeLocked()
-	rt.pendMu.Unlock()
-	if !ok {
-		return // duplicate, late, or foreign answer
-	}
-	e.ch <- clusterOutcome{res: overlay.Result{Cluster: r.Cluster, Hops: r.Hops, Answered: r.Answered, Class: r.Class, Path: r.Path}}
+	r := m.Result
+	mRuntimeQueryHops.Observe(float64(r.Hops))
+	return overlay.Result{Cluster: r.Cluster, Hops: r.Hops, Answered: r.Answered, Class: r.Class, Path: r.Path}, nil
 }
 
 // handleQuery runs one Algorithm 4 step at this peer (overlay's
@@ -121,7 +67,7 @@ func (p *peer) handleQuery(q *transport.Query, ht *hopTrace) {
 	switch {
 	case step.Members != nil:
 		ht.setNote("answered")
-		p.answerQuery(q, step.Members, ht)
+		p.rt.sendAsync(p.clusterAnswer(q, step.Members, ht.onward()))
 	case step.Next != -1 && q.Hops < maxQueryHops:
 		ht.setNote("forward")
 		fwd := *q
@@ -130,45 +76,23 @@ func (p *peer) handleQuery(q *transport.Query, ht *hopTrace) {
 		// Copy the path: the forwarded message and this peer's local view
 		// must not share a backing array across goroutines.
 		fwd.Path = append([]int(nil), q.Path...)
-		p.forwardQuery(step.Next, &fwd, ht)
+		tc := ht.onward()
+		p.forward(transport.Message{Kind: transport.KindQuery, From: p.id, To: step.Next, Query: &fwd, Trace: tc},
+			p.clusterAnswer(&fwd, nil, tc))
 	default:
 		ht.setNote("notfound")
-		p.answerQuery(q, nil, ht)
+		p.rt.sendAsync(p.clusterAnswer(q, nil, ht.onward()))
 	}
 	p.finishHop(ht, "query")
 }
 
-// answerQuery routes the query's answer back to its origin peer as a
-// result message (members nil: not found), carrying the trace context
-// so the origin can time the return leg.
-func (p *peer) answerQuery(q *transport.Query, members []int, ht *hopTrace) {
+// clusterAnswer is this peer's answer to q (members nil: not found),
+// routed to q's origin with trace context tc, which lets the origin
+// time the return leg.
+func (p *peer) clusterAnswer(q *transport.Query, members []int, tc *transport.TraceContext) transport.Message {
 	res := &transport.Result{ID: q.ID, Cluster: members, Hops: q.Hops, Answered: p.id, Class: q.ClassL, Path: q.Path}
-	p.rt.sendAsync(transport.Message{Kind: transport.KindResult, From: p.id, To: q.Origin, Result: res, Trace: ht.back()})
+	return transport.Message{Kind: transport.KindResult, From: p.id, To: q.Origin, Result: res, Trace: tc}
 }
-
-// forwardQuery passes the query to the next peer from a helper goroutine
-// so a full inbox cannot stall this peer's main loop. If the transport
-// rejects the forward (next is dead and unrouted), the query fails over
-// to a not-found answer from this peer, preserving the pre-transport
-// crash semantics.
-func (p *peer) forwardQuery(next int, fwd *transport.Query, ht *hopTrace) {
-	from := p.id
-	tc := ht.next()
-	p.rt.wg.Add(1)
-	go func() {
-		defer p.rt.wg.Done()
-		if p.rt.tr.Send(transport.Message{Kind: transport.KindQuery, From: from, To: next, Query: fwd, Trace: tc}) == nil {
-			return
-		}
-		res := &transport.Result{ID: fwd.ID, Hops: fwd.Hops, Answered: from, Class: fwd.ClassL, Path: fwd.Path}
-		_ = p.rt.tr.Send(transport.Message{Kind: transport.KindResult, From: from, To: fwd.Origin, Result: res, Trace: tc})
-	}()
-}
-
-// maxQueryHops is a safety bound against routing on inconsistent
-// (not-yet-settled) CRTs; the overlay is a tree, so settled routing never
-// gets near it.
-const maxQueryHops = 10000
 
 // DynamicSubstrate is a substrate that accepts new hosts (both
 // predtree.Tree and predtree.Forest qualify).

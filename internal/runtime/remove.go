@@ -174,33 +174,22 @@ func (rt *Runtime) repairOutHost(dyn RemovableSubstrate, h int) error {
 // (buffered) channel is written, so the write can never race a routed
 // resolution or block.
 func (rt *Runtime) cancelPendingFor(h int) {
-	var cls []chan clusterOutcome
-	var nds []chan nodeOutcome
+	var chs []chan outcome
 	rt.pendMu.Lock()
-	for id, e := range rt.pendCluster {
+	for id, e := range rt.pend {
 		if e.origin == h {
-			delete(rt.pendCluster, id)
-			cls = append(cls, e.ch)
-		}
-	}
-	for id, e := range rt.pendNode {
-		if e.origin == h {
-			delete(rt.pendNode, id)
-			nds = append(nds, e.ch)
+			delete(rt.pend, id)
+			chs = append(chs, e.ch)
 		}
 	}
 	rt.updatePendingGaugeLocked()
 	rt.pendMu.Unlock()
-	if len(cls) == 0 && len(nds) == 0 {
+	if len(chs) == 0 {
 		return
 	}
 	err := fmt.Errorf("runtime: host %d: %w", h, ErrOriginRemoved)
-	for _, ch := range cls {
-		ch <- clusterOutcome{err: err}
-		mPendCanceled.Inc()
-	}
-	for _, ch := range nds {
-		ch <- nodeOutcome{err: err}
+	for _, ch := range chs {
+		ch <- outcome{err: err}
 		mPendCanceled.Inc()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bwcluster/internal/overlay"
+	"bwcluster/internal/transport"
 )
 
 // A crashed peer's network heals and re-converges to exactly the state
@@ -157,13 +158,13 @@ func TestRemoveHostCancelsPendingQueries(t *testing.T) {
 	hosts := rt.Hosts()
 	victim, other := hosts[2], hosts[3]
 
-	ch := make(chan clusterOutcome, 1)
-	nch := make(chan nodeOutcome, 1)
-	keep := make(chan clusterOutcome, 1)
+	ch := make(chan outcome, 1)
+	nch := make(chan outcome, 1)
+	keep := make(chan outcome, 1)
 	rt.pendMu.Lock()
-	rt.pendCluster[91] = pendingCluster{ch: ch, origin: victim, born: 0}
-	rt.pendNode[92] = pendingNode{ch: nch, origin: victim, born: 0}
-	rt.pendCluster[93] = pendingCluster{ch: keep, origin: other, born: 0}
+	rt.pend[91] = pending{ch: ch, answer: transport.KindResult, origin: victim, born: 0}
+	rt.pend[92] = pending{ch: nch, answer: transport.KindNodeResult, origin: victim, born: 0}
+	rt.pend[93] = pending{ch: keep, answer: transport.KindResult, origin: other, born: 0}
 	rt.updatePendingGaugeLocked()
 	rt.pendMu.Unlock()
 

@@ -18,7 +18,7 @@
 // messages, the self CRT, the Algorithm 4 and hill-climb steps, the
 // splice) exactly as overlay.Network does, adding only what asynchrony
 // needs — locking, transport sends, loss injection, gossip-age
-// watermarks, version bookkeeping, tracing and reply tables. A settled
+// watermarks, version bookkeeping, tracing and the reply table. A settled
 // Runtime therefore reaches exactly the fixed point overlay.Network
 // computes and answers queries along the same routes; the cross-engine
 // tests assert the fixed point over every transport backend.
@@ -58,16 +58,15 @@ type Runtime struct {
 	table   atomic.Pointer[overlay.Dist]
 	version atomic.Int64 // bumped on every peer state change
 
-	// Pending query replies, keyed by the query id minted at submission.
-	// Answers arrive as routed messages (transport.KindResult and
-	// KindNodeResult) at the origin peer, which resolves them here;
-	// duplicate or late answers find no entry and are dropped. Entries
-	// record their birth tick so the health monitor's sweep can prove
-	// the tables bounded even if a caller leaks its entry.
-	qid         atomic.Uint64
-	pendMu      lockcheck.Mutex
-	pendCluster map[uint64]pendingCluster // guarded by pendMu
-	pendNode    map[uint64]pendingNode    // guarded by pendMu
+	// Pending requests of both query families, keyed by the id minted
+	// at submission (request.go). Answers arrive as routed messages
+	// (transport.KindResult and KindNodeResult) at the origin peer, which
+	// resolves them here; duplicate or late answers find no entry and are
+	// dropped. Entries record their birth tick so the health monitor's
+	// sweep can prove the table bounded even if a caller leaks its entry.
+	qid    atomic.Uint64
+	pendMu lockcheck.Mutex
+	pend   map[uint64]pending // guarded by pendMu
 
 	// Distributed tracing: per-runtime span-id sequence and the origin
 	// -side collector reassembling reported hop events.
@@ -97,33 +96,6 @@ type Runtime struct {
 // still in flight: the reply would be routed to a dead peer, so the
 // caller fails fast instead of blocking until its timeout.
 var ErrOriginRemoved = errors.New("runtime: origin host removed")
-
-// clusterOutcome is what a pending cluster query resolves with: an
-// answer, or an error when the query was canceled (origin removed).
-type clusterOutcome struct {
-	res overlay.Result
-	err error
-}
-
-// nodeOutcome is the node-search counterpart of clusterOutcome.
-type nodeOutcome struct {
-	res overlay.NodeResult
-	err error
-}
-
-// pendingCluster is one in-flight cluster query's reply slot.
-type pendingCluster struct {
-	ch     chan clusterOutcome
-	origin int    // start host the answer is routed to
-	born   uint64 // monitor tick at submission
-}
-
-// pendingNode is one in-flight node search's reply slot.
-type pendingNode struct {
-	ch     chan nodeOutcome
-	origin int    // start host the answer is routed to
-	born   uint64 // monitor tick at submission
-}
 
 type peer struct {
 	id   int
@@ -169,16 +141,15 @@ func NewWithTransport(sub overlay.Substrate, d *overlay.Dist, cfg overlay.Config
 		owns = true
 	}
 	rt := &Runtime{
-		cfg:         cfg,
-		sub:         sub,
-		tick:        tick,
-		tr:          tr,
-		ownsTr:      owns,
-		peers:       make(map[int]*peer, sub.Len()),
-		pendCluster: make(map[uint64]pendingCluster),
-		pendNode:    make(map[uint64]pendingNode),
-		collector:   telemetry.NewTraceCollector(0),
-		monStop:     make(chan struct{}),
+		cfg:       cfg,
+		sub:       sub,
+		tick:      tick,
+		tr:        tr,
+		ownsTr:    owns,
+		peers:     make(map[int]*peer, sub.Len()),
+		pend:      make(map[uint64]pending),
+		collector: telemetry.NewTraceCollector(0),
+		monStop:   make(chan struct{}),
 	}
 	// Class names feed the lockcheck build's shadow order graph; they
 	// mirror the lock classes bwc-vet's static lockorder check derives.
@@ -381,14 +352,13 @@ func (p *peer) handle(m transport.Message) {
 		if m.NodeQuery != nil {
 			p.handleNodeQuery(m.NodeQuery, p.beginHop(m))
 		}
-	case transport.KindResult:
-		p.rt.noteReturnLeg(p.id, m.Trace, "result")
-		p.rt.resolveCluster(m.Result)
-	case transport.KindNodeResult:
-		p.rt.noteReturnLeg(p.id, m.Trace, "noderesult")
-		p.rt.resolveNode(m.NodeResult)
+	case transport.KindResult, transport.KindNodeResult:
+		p.rt.noteReturnLeg(p.id, m.Trace, m.Kind.String())
+		p.rt.resolve(m)
 	case transport.KindTrace:
-		p.rt.addTraceEvent(m.Event)
+		if m.Event != nil {
+			p.rt.collector.Add(*m.Event)
+		}
 	case transport.KindSnapshot:
 		// Snapshot streams are addressed to fleet replicator endpoints
 		// (internal/fleet), never to protocol peers; a chunk that reaches

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strconv"
 	"time"
 
 	"bwcluster/internal/telemetry"
@@ -87,24 +88,10 @@ func (ht *hopTrace) setNote(note string) {
 	}
 }
 
-// next returns the trace context to attach to a message this hop sends
-// onward (the forwarded query): the child hop's parent is this span.
-func (ht *hopTrace) next() *transport.TraceContext {
-	if ht == nil {
-		return nil
-	}
-	return &transport.TraceContext{
-		TraceID:      ht.ctx.TraceID,
-		ParentSpan:   ht.spanID,
-		Hop:          ht.ctx.Hop + 1,
-		Origin:       ht.ctx.Origin,
-		SentUnixNano: traceNow(),
-	}
-}
-
-// back returns the trace context to attach to the answer routed to the
-// origin, letting the origin time the return leg.
-func (ht *hopTrace) back() *transport.TraceContext {
+// onward returns the trace context for a message this hop sends — the
+// forwarded request, or the answer routed to the origin, which then
+// times the return leg: the receiver's parent is this span.
+func (ht *hopTrace) onward() *transport.TraceContext {
 	if ht == nil {
 		return nil
 	}
@@ -124,43 +111,20 @@ func (p *peer) finishHop(ht *hopTrace, kind string) {
 	if ht == nil {
 		return
 	}
-	ev := &transport.TraceEvent{
-		TraceID:       ht.ctx.TraceID,
-		SpanID:        ht.spanID,
-		ParentSpan:    ht.ctx.ParentSpan,
-		Host:          p.id,
-		Peer:          -1,
-		Hop:           ht.ctx.Hop,
-		Kind:          kind,
-		StartUnixNano: ht.start,
-		DurationNs:    traceNow() - ht.start,
-		QueueNs:       ht.queueNs,
-		Note:          ht.note,
-	}
-	p.rt.fl().Record(flightHop, p.id, ht.ctx.Origin, kind+" hop="+itoa(ht.ctx.Hop)+" "+ht.note)
+	ev := telemetry.NewSpanEvent(ht.ctx.TraceID, ht.spanID, ht.ctx.ParentSpan)
+	ev.Host, ev.Peer, ev.Hop = p.id, -1, ht.ctx.Hop
+	ev.Kind, ev.Note = kind, ht.note
+	ev.StartUnixNano, ev.DurationNs, ev.QueueNs = ht.start, traceNow()-ht.start, ht.queueNs
+	p.rt.fl().Record(flightHop, p.id, ht.ctx.Origin, kind+" hop="+strconv.Itoa(ht.ctx.Hop)+" "+ht.note)
 	mTraceEvents.Inc()
 	if p.id == ht.ctx.Origin {
 		// The origin's own hop needs no wire trip.
-		p.rt.addTraceEvent(ev)
+		p.rt.collector.Add(*ev)
 		return
 	}
 	_ = p.rt.tr.TrySend(transport.Message{
 		Kind: transport.KindTrace, From: p.id, To: ht.ctx.Origin, Event: ev,
 	})
-}
-
-// addTraceEvent converts a wire trace event into the collector's form.
-// transport owns the wire schema and telemetry cannot import it, so the
-// runtime is where the two meet.
-func (rt *Runtime) addTraceEvent(ev *transport.TraceEvent) {
-	if ev == nil {
-		return
-	}
-	se := telemetry.NewSpanEvent(ev.TraceID, ev.SpanID, ev.ParentSpan)
-	se.Host, se.Peer, se.Hop = ev.Host, ev.Peer, ev.Hop
-	se.Kind, se.Note = ev.Kind, ev.Note
-	se.StartUnixNano, se.DurationNs, se.QueueNs = ev.StartUnixNano, ev.DurationNs, ev.QueueNs
-	rt.collector.Add(*se)
 }
 
 // noteReturnLeg records the answer's arrival at the origin as a span
@@ -215,23 +179,4 @@ func traceGatherGrace(tick time.Duration) time.Duration {
 		g = time.Second
 	}
 	return g
-}
-
-// itoa is a minimal non-negative int formatter for flight detail
-// strings (avoiding fmt on the peer hot path).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	if v < 0 {
-		return "-"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -292,9 +292,9 @@ func TestPendingSweepDeterministic(t *testing.T) {
 	rt.SetFlight(fl)
 
 	rt.pendMu.Lock()
-	rt.pendCluster[1] = pendingCluster{ch: make(chan clusterOutcome, 1), born: 0}
-	rt.pendCluster[2] = pendingCluster{ch: make(chan clusterOutcome, 1), born: 10}
-	rt.pendNode[3] = pendingNode{ch: make(chan nodeOutcome, 1), born: 0}
+	rt.pend[1] = pending{ch: make(chan outcome, 1), answer: transport.KindResult, born: 0}
+	rt.pend[2] = pending{ch: make(chan outcome, 1), answer: transport.KindResult, born: 10}
+	rt.pend[3] = pending{ch: make(chan outcome, 1), answer: transport.KindNodeResult, born: 0}
 	rt.updatePendingGaugeLocked()
 	rt.pendMu.Unlock()
 

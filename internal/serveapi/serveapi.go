@@ -111,14 +111,6 @@ func (h *Handler) SetBackend(sys *bwcluster.System, async *bwcluster.AsyncRuntim
 // Ready reports whether a backend is installed.
 func (h *Handler) Ready() bool { return h.be.Load() != nil }
 
-// System returns the installed backend, nil before SetBackend.
-func (h *Handler) System() *bwcluster.System {
-	if be := h.be.Load(); be != nil {
-		return be.sys
-	}
-	return nil
-}
-
 // ServeHTTP dispatches through the observability-wrapped mux.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.h.ServeHTTP(w, r) }
 

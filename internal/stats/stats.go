@@ -29,20 +29,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Max returns the largest element of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks: what sorting xs and interpolating
 // gives (a zero result may differ in sign, as equal zeros may sort either

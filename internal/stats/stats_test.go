@@ -38,9 +38,6 @@ func TestEmptyInputs(t *testing.T) {
 	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Mean(nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Max(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
 	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
 		t.Errorf("Percentile(nil) err = %v, want ErrEmpty", err)
 	}
@@ -360,7 +357,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 100
 		}
 		lo := slices.Min(xs)
-		hi, _ := Max(xs)
+		hi := slices.Max(xs)
 		p0, _ := Percentile(xs, 0)
 		p100, _ := Percentile(xs, 100)
 		p50, _ := Percentile(xs, 50)
@@ -384,7 +381,7 @@ func TestMeanBoundsProperty(t *testing.T) {
 		}
 		m, _ := Mean(xs)
 		lo := slices.Min(xs)
-		hi, _ := Max(xs)
+		hi := slices.Max(xs)
 		if m < lo-1e-9 || m > hi+1e-9 {
 			t.Fatalf("mean %v outside [%v,%v]", m, lo, hi)
 		}

@@ -29,8 +29,10 @@ const maxFrame = 1 << 20
 // instead of mis-decoding each other. Version 2 added the header's
 // version and payload-tag bytes and the trace payloads (v1 frames had
 // neither byte, so a v1 peer is rejected by the header check, not by
-// gob).
-const wireVersion = 2
+// gob). Version 3 carries hop reports as telemetry.SpanEvent, whose
+// parent field is ParentID: gob would silently zero a v2 report's
+// ParentSpan, so a v2 peer is rejected at its first frame instead.
+const wireVersion = 3
 
 // Frame payload tags. Untraced messages — all gossip, and every query
 // when tracing is off — are encoded as a wireMessage, whose gob type

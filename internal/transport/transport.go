@@ -12,7 +12,10 @@
 // — so every message that crosses a goroutine boundary can also cross a
 // process boundary. Query answers travel as messages too (KindResult,
 // KindNodeResult) routed back to the querying peer, which is what makes
-// multi-process routing possible at all.
+// multi-process routing possible at all. Hop reports (KindTrace) carry
+// a telemetry.SpanEvent, the form the querying runtime's trace
+// collector assembles, so tracing has one event type on and off the
+// wire.
 //
 // Delivery contract, shared by every implementation:
 //
@@ -35,7 +38,11 @@
 // explicit seed, and the global math/rand stream stays banned.
 package transport
 
-import "errors"
+import (
+	"errors"
+
+	"bwcluster/internal/telemetry"
+)
 
 // Kind discriminates the protocol messages carried by a transport.
 type Kind uint8
@@ -134,8 +141,9 @@ type Message struct {
 	// node-query message (nil when the operation is untraced). Results
 	// carry it back so the origin can time the return leg.
 	Trace *TraceContext
-	// Event is the KindTrace payload: one hop's span report.
-	Event *TraceEvent
+	// Event is the KindTrace payload: one hop's span report, in the form
+	// the origin's telemetry.TraceCollector assembles.
+	Event *telemetry.SpanEvent
 }
 
 // Snapshot is one chunk of a streamed system snapshot. A stream is a
@@ -167,9 +175,12 @@ type Snapshot struct {
 const SnapshotChunkSize = 256 * 1024
 
 // TraceContext is the compact trace context propagated on the message
-// envelope: enough for the receiving hop to mint its own span event and
-// report it to the trace's origin. Nil context means tracing is off and
-// costs one pointer comparison per hop.
+// envelope: enough for the receiving hop to mint its own
+// telemetry.SpanEvent (its parent is ParentSpan) and report it to the
+// trace's origin as a KindTrace message. Requests carry it forward and
+// answers carry it back, so the origin can time the return leg. Nil
+// context means tracing is off and costs one pointer comparison per
+// hop.
 type TraceContext struct {
 	// TraceID identifies the distributed operation (the origin's query
 	// id, unique per origin runtime).
@@ -185,35 +196,6 @@ type TraceContext struct {
 	// derives queue/wire wait from it (clock skew applies across
 	// machines, so treat cross-host waits as approximate).
 	SentUnixNano int64
-}
-
-// TraceEvent is one hop's span report on the wire: the executing host
-// tells the trace origin what it did. It mirrors telemetry.SpanEvent —
-// transport owns the wire schema and telemetry cannot depend on it, so
-// the runtime converts between the two at the collector boundary.
-type TraceEvent struct {
-	// TraceID identifies the distributed operation.
-	TraceID uint64
-	// SpanID uniquely identifies this hop across all hosts.
-	SpanID uint64
-	// ParentSpan is the span that caused this hop.
-	ParentSpan uint64
-	// Host executed the hop.
-	Host int
-	// Peer is the hop's counterparty (-1 at the first hop).
-	Peer int
-	// Hop is the hop index along the path, 0-based.
-	Hop int
-	// Kind labels the work ("query", "nodequery", ...).
-	Kind string
-	// StartUnixNano is the hop start on the executing host's clock.
-	StartUnixNano int64
-	// DurationNs is the hop's processing time.
-	DurationNs int64
-	// QueueNs is the triggering message's send-to-handle wait.
-	QueueNs int64
-	// Note records the hop's outcome ("answered", "forward", ...).
-	Note string
 }
 
 // Query is an Algorithm 4 cluster query in flight.

@@ -40,7 +40,7 @@ func TestWireVersionRoundTrip(t *testing.T) {
 
 	ev := Message{
 		Kind: KindTrace, From: 2, To: 1,
-		Event: &TraceEvent{TraceID: 9, SpanID: 100, ParentSpan: 77, Host: 2, Peer: 1,
+		Event: &telemetry.SpanEvent{TraceID: 9, SpanID: 100, ParentID: 77, Host: 2, Peer: 1,
 			Hop: 2, Kind: "query", StartUnixNano: 5, DurationNs: 7, QueueNs: 3, Note: "forward"},
 	}
 	frame, err = encodeFrame(ev)
@@ -69,7 +69,7 @@ func TestWireLeanFrames(t *testing.T) {
 	if frame[5] != frameLean {
 		t.Fatalf("untraced frame tag = %d, want %d", frame[5], frameLean)
 	}
-	if bytes.Contains(frame, []byte("TraceContext")) || bytes.Contains(frame, []byte("TraceEvent")) {
+	if bytes.Contains(frame, []byte("TraceContext")) || bytes.Contains(frame, []byte("SpanEvent")) {
 		t.Fatal("untraced frame carries trace type descriptors")
 	}
 	got, _, err := readFrame(bytes.NewReader(frame))
@@ -248,7 +248,7 @@ func TestFaultGossipOnlyFaultsTraceReports(t *testing.T) {
 	}
 	recvOne(t, inbox, time.Second)
 	dec := ft.DecisionAt(0)
-	err = ft.TrySend(Message{Kind: KindTrace, From: 1, To: 2, Event: &TraceEvent{TraceID: 1, SpanID: 5}})
+	err = ft.TrySend(Message{Kind: KindTrace, From: 1, To: 2, Event: &telemetry.SpanEvent{TraceID: 1, SpanID: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

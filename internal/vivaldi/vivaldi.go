@@ -84,19 +84,6 @@ func (e *Embedding) Dist(i, j int) float64 { return e.coords[i].Dist(e.coords[j]
 // Coord returns host i's coordinate.
 func (e *Embedding) Coord(i int) Point { return e.coords[i] }
 
-// Points returns a copy of all coordinates.
-// Kept: pending: only its own copy test calls it.
-func (e *Embedding) Points() []Point {
-	out := make([]Point, len(e.coords))
-	copy(out, e.coords)
-	return out
-}
-
-// Matrix materializes the pairwise embedded distances.
-func (e *Embedding) Matrix() *metric.Matrix {
-	return metric.FromFunc(len(e.coords), func(i, j int) float64 { return e.Dist(i, j) })
-}
-
 // Embed runs the Vivaldi simulation against the measured distances in o
 // (typically a rational-transformed bandwidth matrix) and returns the
 // converged coordinates. The simulation is deterministic for a given rng.

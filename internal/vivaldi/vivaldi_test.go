@@ -117,37 +117,6 @@ func TestEmbedDeterministic(t *testing.T) {
 	}
 }
 
-func TestMatrixMatchesDist(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	o := testutil.RandomTreeMetric(10, rng)
-	e, err := Embed(o, DefaultConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := e.Matrix()
-	for i := 0; i < 10; i++ {
-		for j := i + 1; j < 10; j++ {
-			if math.Abs(m.Dist(i, j)-e.Dist(i, j)) > 1e-12 {
-				t.Fatalf("matrix(%d,%d)=%v, Dist=%v", i, j, m.Dist(i, j), e.Dist(i, j))
-			}
-		}
-	}
-}
-
-func TestPointsCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	o := testutil.RandomTreeMetric(5, rng)
-	e, err := Embed(o, DefaultConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := e.Points()
-	pts[0] = Point{X: 1e9}
-	if e.Coord(0).X == 1e9 {
-		t.Error("Points aliases internal state")
-	}
-}
-
 func TestMedianRelativeErrorSizeMismatch(t *testing.T) {
 	e := &Embedding{coords: make([]Point, 3)}
 	if _, err := medianRelativeError(e, metric.NewMatrix(4)); err == nil {
